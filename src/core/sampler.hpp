@@ -4,11 +4,25 @@
 // implement it, which is what lets the benchmark harnesses compare them
 // uniformly.
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "cnf/types.hpp"
 
 namespace unigen {
+
+/// Lexicographic order on equal-length total assignments.  lbool's
+/// underlying values (False=0, True=1) make this the natural 0/1-string
+/// order over the formula variables.  Samplers sort an enumerated cell
+/// with it before drawing an index, so a seed-fixed stream does not depend
+/// on the order the solver happened to find the cell's models in.
+inline bool model_lex_less(const Model& a, const Model& b) {
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(), [](lbool x, lbool y) {
+        return static_cast<std::uint8_t>(x) < static_cast<std::uint8_t>(y);
+      });
+}
 
 struct SampleResult {
   enum class Status {

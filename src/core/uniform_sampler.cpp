@@ -1,5 +1,7 @@
 #include "core/uniform_sampler.hpp"
 
+#include <algorithm>
+
 #include "sat/enumerator.hpp"
 
 namespace unigen {
@@ -32,6 +34,7 @@ bool UniformSampler::prepare() {
     }
     if (r.exhausted) {
       models_ = r.models;
+      std::sort(models_.begin(), models_.end(), model_lex_less);
       count_ = BigUint(r.count);
       materialized_ = true;
       return true;

@@ -12,17 +12,6 @@
 namespace unigen {
 namespace {
 
-/// Lexicographic order on equal-length total assignments.  lbool's
-/// underlying values (False=0, True=1) make this the natural 0/1-string
-/// order over the formula variables.
-bool model_lex_less(const Model& a, const Model& b) {
-  return std::lexicographical_compare(
-      a.begin(), a.end(), b.begin(), b.end(),
-      [](lbool x, lbool y) {
-        return static_cast<std::uint8_t>(x) < static_cast<std::uint8_t>(y);
-      });
-}
-
 /// Copies the engine counters of `engine` into `stats` (totals, not
 /// deltas: the engine already accumulates across rebuilds).
 void sync_engine_stats(const IncrementalBsat& engine, UniGenStats& stats) {

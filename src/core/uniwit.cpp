@@ -66,8 +66,12 @@ SampleResult UniWit::sample() {
   // the CNF and rebuilding a solver for every hash level.
   const Cnf& formula = simplifier_ ? simplifier_->result() : cnf_;
   IncrementalBsat engine(formula, full_support_);
-  auto witness_of = [&](Model m) {
-    return project_model_to_formula(std::move(m), cnf_.num_vars());
+  // Canonical draw: sort the cell before the index, so the witness does
+  // not depend on the order the solver enumerated the cell in.
+  auto draw_witness = [&](std::vector<Model>& cell) {
+    std::sort(cell.begin(), cell.end(), model_lex_less);
+    const auto j = rng_.below(cell.size());
+    return project_model_to_formula(std::move(cell[j]), cnf_.num_vars());
   };
   auto bounded_enumerate = [&](std::size_t level,
                                EnumerateResult& out) -> bool {
@@ -85,8 +89,7 @@ SampleResult UniWit::sample() {
   if (!bounded_enumerate(0, base)) return finish(SampleResult::timeout());
   if (base.count == 0) return finish(SampleResult::unsat());
   if (base.count <= kp_.hi_thresh) {
-    const auto j = rng_.below(base.models.size());
-    return finish(SampleResult::success(witness_of(std::move(base.models[j]))));
+    return finish(SampleResult::success(draw_witness(base.models)));
   }
 
   // Sequential scan over m, hashing over the FULL support: fresh for every
@@ -108,8 +111,7 @@ SampleResult UniWit::sample() {
       continue;
     }
     if (cell.count >= 1 && cell.count <= kp_.hi_thresh) {
-      const auto j = rng_.below(cell.models.size());
-      return finish(SampleResult::success(witness_of(std::move(cell.models[j]))));
+      return finish(SampleResult::success(draw_witness(cell.models)));
     }
     if (cell.count == 0) break;  // cells only shrink; give up (⊥)
   }

@@ -1,5 +1,7 @@
 #include "core/xorsample.hpp"
 
+#include <algorithm>
+
 #include "sat/enumerator.hpp"
 #include "util/timer.hpp"
 
@@ -44,7 +46,7 @@ SampleResult XorSamplePrime::sample() {
   eopts.deadline = deadline;
   eopts.projection = full_support_;
   eopts.store_models = true;
-  const EnumerateResult r = enumerate_models(solver, eopts);
+  EnumerateResult r = enumerate_models(solver, eopts);
   ++stats_.bsat_calls;
 
   if (r.timed_out) {
@@ -56,9 +58,10 @@ SampleResult XorSamplePrime::sample() {
     ++stats_.samples_failed;
     return SampleResult::failure();
   }
+  std::sort(r.models.begin(), r.models.end(), model_lex_less);
   const auto j = rng_.below(r.models.size());
   ++stats_.samples_ok;
-  return SampleResult::success(r.models[j]);
+  return SampleResult::success(std::move(r.models[j]));
 }
 
 }  // namespace unigen

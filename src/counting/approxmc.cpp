@@ -359,7 +359,10 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     ++any.iterations_completed;
   }
   any.achieved_delta =
-      approxmc_median_failure_tail(static_cast<int>(estimates.size()));
+      approxmc_delta_achieved(static_cast<int>(estimates.size()));
+  // An even count has no true median: fold over the first t−1 estimates
+  // (iteration order), which is what approxmc_delta_achieved(t) labels.
+  if (estimates.size() % 2 == 0 && !estimates.empty()) estimates.pop_back();
   if (!estimates.empty()) {
     std::sort(estimates.begin(), estimates.end(),
               [](const Estimate& a, const Estimate& b) {
@@ -425,7 +428,9 @@ int approxmc_iteration_count(double delta) {
   return 999;
 }
 
-double approxmc_delta_achieved(int t) { return approxmc_median_failure_tail(t); }
+double approxmc_delta_achieved(int t) {
+  return approxmc_median_failure_tail(t % 2 == 0 ? t - 1 : t);
+}
 
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,
                             Rng& rng) {

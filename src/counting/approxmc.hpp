@@ -184,8 +184,9 @@ std::uint64_t approxmc_pivot(double epsilon);
 
 /// P[the median of t core iterations is bad], assuming each iteration is
 /// independently good with p = 1 − e^{−3/2} (the CP 2013 analysis): the
-/// binomial tail P[#bad >= ⌊t/2⌋+1].  Defined for every t >= 1 (a cut run
-/// may be left with an even or single iteration count); t <= 0 → 1.0.
+/// binomial tail P[#bad >= ⌊t/2⌋+1].  Meaningful as a median bound for odd
+/// t; a run left with an even count is labelled by approxmc_delta_achieved.
+/// t <= 0 → 1.0.
 double approxmc_median_failure_tail(int t);
 
 /// Smallest odd iteration count t with approxmc_median_failure_tail(t) <= δ.
@@ -194,7 +195,11 @@ int approxmc_iteration_count(double delta);
 /// The δ a count computed from t completed iterations actually achieves —
 /// the honesty label on a Partial result: its (ε, δ') guarantee holds with
 /// δ' = approxmc_median_failure_tail(t), weaker than the requested δ when
-/// the budget cut iterations away.
+/// the budget cut iterations away.  An even t has no true median, so the
+/// fold drops the last estimate (iteration order) and the label is that of
+/// t − 1; with the raw tail at even t (only the lower half of the bad
+/// cases) δ' would be too optimistic and non-monotone in t.  Non-increasing
+/// over all t >= 0.
 double approxmc_delta_achieved(int t);
 
 ApproxMcResult approx_count(const Cnf& cnf, const ApproxMcOptions& options,

@@ -9,7 +9,9 @@
 // function-local static so the name lookup's mutex is paid once per site.
 //
 // Metric catalog (see README "Observability"):
-//   bsat.solves / bsat.solve_seconds        every Solver::solve_limited
+//   bsat.solves / bsat.solve_seconds        every model search: each
+//                                           Solver::solve_limited, and each
+//                                           next_model of a cell walk
 //   bsat.cells  / cell.enumeration_seconds  every IncrementalBsat cell walk
 //   pool.tasks  / pool.queue_wait_seconds   WorkerPool task pull latency
 //   session.hits / session.misses / session.evictions

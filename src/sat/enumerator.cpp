@@ -2,6 +2,67 @@
 
 namespace unigen {
 
+namespace {
+
+/// The enumeration loop proper.  May leave the solver above level 0; the
+/// caller unwinds on every exit.
+void run_search(Solver& solver, const EnumerateOptions& options,
+                const std::vector<Var>& projection, EnumerateResult& result) {
+  std::vector<Lit> blocking;
+  blocking.reserve(projection.size() + 1);
+  const auto cancelled = [&options] {
+    return options.cancel != nullptr &&
+           options.cancel->load(std::memory_order_acquire);
+  };
+  while (result.count < options.max_models) {
+    if (cancelled()) {
+      result.cancelled = true;
+      return;
+    }
+    if (options.deadline.expired()) {
+      result.timed_out = true;
+      return;
+    }
+    const lbool status =
+        solver.next_model(options.assumptions, options.deadline,
+                          options.conflict_budget, options.cancel);
+    if (status == lbool::Undef) {
+      // Undef = some limit fired mid-search; the flag says which caller
+      // intent it was (a tripped token wins over a concurrently expired
+      // budget — the caller asked to stop either way).
+      if (cancelled())
+        result.cancelled = true;
+      else
+        result.timed_out = true;
+      return;
+    }
+    if (status == lbool::False) {
+      result.exhausted = true;
+      return;
+    }
+    const Model& m = solver.model();
+    ++result.count;
+    if (options.store_models) result.models.push_back(m);
+
+    // Block this S-projection: at least one sampling variable must differ.
+    blocking.clear();
+    for (const Var v : projection) {
+      const lbool val = m[static_cast<std::size_t>(v)];
+      blocking.push_back(Lit(v, val == lbool::True));
+    }
+    if (options.block_activation.valid())
+      blocking.push_back(options.block_activation);
+    if (!solver.block_model(blocking)) {
+      result.exhausted = true;  // blocking made the formula UNSAT
+      return;
+    }
+    ++result.blocks_added;
+  }
+  // Hit max_models; the space may or may not be exhausted.
+}
+
+}  // namespace
+
 EnumerateResult enumerate_models(Solver& solver,
                                  const EnumerateOptions& options) {
   EnumerateResult result;
@@ -22,61 +83,11 @@ EnumerateResult enumerate_models(Solver& solver,
   if (projection.size() < formula_vars && projection.size() <= 4096)
     solver.set_priority_vars(projection);
 
-  // One scratch buffer for every per-model blocking clause; add_clause_from
-  // copies only the surviving literals into the stored clause, so the hot
-  // loop performs no per-model vector churn.
-  std::vector<Lit> blocking;
-  blocking.reserve(projection.size() + 1);
-
-  const auto cancelled = [&options] {
-    return options.cancel != nullptr &&
-           options.cancel->load(std::memory_order_acquire);
-  };
-  while (result.count < options.max_models) {
-    if (cancelled()) {
-      result.cancelled = true;
-      return result;
-    }
-    if (options.deadline.expired()) {
-      result.timed_out = true;
-      return result;
-    }
-    const lbool status =
-        solver.solve_limited(options.assumptions, options.deadline,
-                             options.conflict_budget, options.cancel);
-    if (status == lbool::Undef) {
-      // Undef = some limit fired mid-search; the flag says which caller
-      // intent it was (a tripped token wins over a concurrently expired
-      // budget — the caller asked to stop either way).
-      if (cancelled())
-        result.cancelled = true;
-      else
-        result.timed_out = true;
-      return result;
-    }
-    if (status == lbool::False) {
-      result.exhausted = true;
-      return result;
-    }
-    const Model& m = solver.model();
-    ++result.count;
-    if (options.store_models) result.models.push_back(m);
-
-    // Block this S-projection: at least one sampling variable must differ.
-    blocking.clear();
-    for (const Var v : projection) {
-      const lbool val = m[static_cast<std::size_t>(v)];
-      blocking.push_back(Lit(v, val == lbool::True));
-    }
-    if (options.block_activation.valid())
-      blocking.push_back(options.block_activation);
-    if (!solver.add_clause_from(blocking.data(), blocking.size())) {
-      result.exhausted = true;  // blocking made the formula UNSAT
-      return result;
-    }
-    ++result.blocks_added;
-  }
-  return result;  // hit max_models; space may or may not be exhausted
+  // One search per cell: each model is blocked where it was found and the
+  // search resumes from the blocking clause's asserting level.
+  run_search(solver, options, projection, result);
+  solver.backtrack_to_root();
+  return result;
 }
 
 EnumerateResult bsat(const Cnf& cnf, std::uint64_t max_models,

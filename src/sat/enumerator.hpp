@@ -8,6 +8,15 @@
 // implementation optimizations ("blocking clauses can be restricted to only
 // variables in the set S"); since S is an independent support, two witnesses
 // differ iff their S-projections differ, so nothing is lost.
+//
+// One continuing search enumerates the whole cell.  Each model's blocking
+// clause is attached at the level the model was found; the solver then
+// backjumps to the clause's asserting level and resumes the same search
+// (Solver::next_model / Solver::block_model), instead of restarting from
+// level 0 and re-descending through the assumptions and the S prefix per
+// model.  Each model search still has its own conflict cap, and every exit
+// (exhausted, max_models, deadline, conflict cap, cancel) leaves the solver
+// at level 0, ready for root-level units, simplify() and the next call.
 
 #include <atomic>
 #include <cstdint>
@@ -25,8 +34,9 @@ struct EnumerateOptions {
   /// Wall-clock deadline for the whole enumeration (maps to the paper's
   /// 2500 s per-BSAT timeout).
   Deadline deadline = Deadline::never();
-  /// Deterministic per-solve conflict cap (0 = none): each model search is
-  /// limited to this many conflicts, so the enumeration's Undef exits are
+  /// Deterministic per-model conflict cap (0 = none): each model search is
+  /// limited to this many conflicts, counted from the previous model (or
+  /// the start of the call), so the enumeration's Undef exits are
   /// reproducible on a fixed solver history — the machine-independent
   /// counterpart of `deadline` (Budget::conflicts_per_call).
   std::uint64_t conflict_budget = 0;
@@ -34,8 +44,8 @@ struct EnumerateOptions {
   /// between model searches and, inside them, at the solver's periodic
   /// conflict check.  Null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
-  /// Variables over which models are projected and blocked.  Empty means
-  /// all variables of the solver.
+  /// Distinct variables over which models are projected and blocked.
+  /// Empty means all variables of the solver.
   std::vector<Var> projection;
   /// Keep the full models; turn off when only the count matters (ApproxMC).
   bool store_models = true;
@@ -77,7 +87,9 @@ struct EnumerateResult {
   std::uint64_t blocks_added = 0;
 };
 
-/// Adds blocking clauses to `solver`.  Without `block_activation` this is
+/// Adds blocking clauses to `solver`, which must be at level 0 (every
+/// Solver entry point leaves it there); so does every exit of this call.
+/// Without `block_activation` this is
 /// destructive — callers that need the solver again must reload the formula;
 /// with it, the blocks can be retracted afterwards by asserting the
 /// activation literal as a unit (see IncrementalBsat).

@@ -72,15 +72,6 @@ lbool Solver::fixed_value(Var v) const {
 }
 
 bool Solver::add_clause(std::vector<Lit> lits) {
-  return add_clause_impl(lits, /*steal=*/true);
-}
-
-bool Solver::add_clause_from(const Lit* lits, std::size_t n) {
-  add_buf_.assign(lits, lits + n);
-  return add_clause_impl(add_buf_, /*steal=*/false);
-}
-
-bool Solver::add_clause_impl(std::vector<Lit>& lits, bool steal) {
   assert(decision_level() == 0);
   if (!ok_) return false;
   std::sort(lits.begin(), lits.end());
@@ -109,11 +100,50 @@ bool Solver::add_clause_impl(std::vector<Lit>& lits, bool steal) {
     return ok_;
   }
   auto c = std::make_unique<Clause>();
-  if (steal)
-    c->lits = std::move(lits);
-  else
-    c->lits = lits;
+  c->lits = std::move(lits);
   attach_clause(c.get());
+  clauses_.push_back(std::move(c));
+  return true;
+}
+
+bool Solver::block_model(const std::vector<Lit>& lits) {
+  if (!ok_) return false;
+  auto c = std::make_unique<Clause>();
+  auto& ls = c->lits;
+  ls.reserve(lits.size());
+  for (const Lit l : lits) {
+    assert(value(l) == lbool::False);
+    if (level(l.var()) > 0) ls.push_back(l);
+  }
+  // The two highest-level literals go in front: they are the watches.
+  const auto by_level = [this](Lit a, Lit b) {
+    return level(a.var()) < level(b.var());
+  };
+  for (std::size_t k = 0; k < 2 && k < ls.size(); ++k) {
+    const auto begin = ls.begin() + static_cast<std::ptrdiff_t>(k);
+    std::iter_swap(begin, std::max_element(begin, ls.end(), by_level));
+  }
+  if (ls.empty()) {
+    cancel_until(0);
+    ok_ = false;
+    return false;
+  }
+  if (ls.size() == 1) {
+    cancel_until(0);
+    enqueue(ls[0], Reason{});
+    if (propagate() != nullptr) ok_ = false;
+    return ok_;
+  }
+  const int top = level(ls[0].var());
+  const int second = level(ls[1].var());
+  attach_clause(c.get());
+  if (second < top) {
+    // Asserting: at `second` every literal but the top one is still false.
+    cancel_until(second);
+    enqueue(ls[0], Reason{c.get(), -1});
+  } else {
+    cancel_until(top - 1);  // two literals share the top level
+  }
   clauses_.push_back(std::move(c));
   return true;
 }
@@ -776,6 +806,17 @@ lbool Solver::solve_limited(const std::vector<Lit>& assumptions,
                             const Deadline& deadline,
                             std::uint64_t conflict_budget,
                             const std::atomic<bool>* interrupt) {
+  cancel_until(0);
+  const lbool status =
+      next_model(assumptions, deadline, conflict_budget, interrupt);
+  cancel_until(0);
+  return status;
+}
+
+lbool Solver::next_model(const std::vector<Lit>& assumptions,
+                         const Deadline& deadline,
+                         std::uint64_t conflict_budget,
+                         const std::atomic<bool>* interrupt) {
   // Observability only — timing a solve touches no solver or RNG state, so
   // the result is byte-identical with tracing on or off.
   static obs::Counter& solves = obs::metrics().counter("bsat.solves");
@@ -783,13 +824,14 @@ lbool Solver::solve_limited(const std::vector<Lit>& assumptions,
       obs::metrics().histogram("bsat.solve_seconds");
   solves.add();
   obs::ScopedTimer solve_timer(solve_seconds);
-  if (!ok_) return lbool::False;
-  cancel_until(0);
-  if (propagate() != nullptr) {
+  if (!ok_) return lbool::False;  // ok_ only ever falls at the root
+  if (decision_level() == 0 && propagate() != nullptr) {
     ok_ = false;
     return lbool::False;
   }
   if (options_.xor_gauss && !gauss_done_ && !xors_.empty()) {
+    // XOR and priority changes happen between enumerations, at the root.
+    assert(decision_level() == 0);
     gauss_done_ = true;
     // Pivot removal below is relative to the *current* XOR basis; start
     // from the full requested priority set so that re-eliminations (after
@@ -819,7 +861,7 @@ lbool Solver::solve_limited(const std::vector<Lit>& assumptions,
     ++stats_.restarts;
     if (status != lbool::Undef) break;
   }
-  cancel_until(0);
+  if (status != lbool::True) cancel_until(0);
   return status;
 }
 

@@ -17,7 +17,12 @@
 //     propagations/conflicts participate in clause learning through
 //     lazily materialized reason clauses,
 //   * level-0 Gaussian elimination over the XOR system (gaussian.cpp),
-//   * conflict budgets and wall-clock deadlines (returns Undef on limit).
+//   * conflict budgets and wall-clock deadlines (returns Undef on limit),
+//   * continuing all-solutions search: a found model is blocked by a
+//     clause attached at the current level, the solver backjumps to that
+//     clause's asserting level and resumes, instead of restarting from
+//     level 0 per model (Toda & Soh, "Implementing Efficient All Solutions
+//     SAT Solvers", ACM JEA 2016).
 
 #include <atomic>
 #include <cstdint>
@@ -84,11 +89,6 @@ class Solver {
   /// Returns false if the solver is already in an UNSAT state (the clause
   /// may then have been discarded).
   bool add_clause(std::vector<Lit> lits);
-  /// Same contract as add_clause, but reads the literals from a
-  /// caller-owned buffer; the caller can keep reusing that buffer (the hot
-  /// enumeration loop adds one blocking clause per model).  Only the
-  /// surviving literals are copied into the stored clause.
-  bool add_clause_from(const Lit* lits, std::size_t n);
   /// Adds the parity constraint XOR(vars) = rhs.  `ephemeral` marks a
   /// redundant derived row (see XorCls::ephemeral); callers add real rows.
   bool add_xor(std::vector<Var> vars, bool rhs, bool ephemeral = false);
@@ -134,6 +134,31 @@ class Solver {
                       const Deadline& deadline,
                       std::uint64_t conflict_budget = 0,
                       const std::atomic<bool>* interrupt = nullptr);
+
+  // --- model enumeration (one continuing search per cell) ---------------
+  /// solve_limited without the unwinding: the search resumes from the
+  /// current trail (the one block_model left) instead of level 0, and a
+  /// True result keeps the model's trail so block_model can backjump from
+  /// it.  False and Undef leave the solver at level 0.  The conflict
+  /// budget counts from this call.  Records one bsat.solves entry.
+  lbool next_model(const std::vector<Lit>& assumptions,
+                   const Deadline& deadline, std::uint64_t conflict_budget,
+                   const std::atomic<bool>* interrupt);
+  /// Blocks the model next_model just found: `lits` must all be false
+  /// under it.  Root-false literals are dropped; the rest are stored as a
+  /// problem clause attached at the current level, and the solver
+  /// backjumps to the clause's asserting level — the second-highest level
+  /// among its literals, with the top literal enqueued and the clause as
+  /// its reason, or one below the top level when two literals share it.
+  /// A single remaining literal becomes a root unit.  Returns false once
+  /// the clause database is unsatisfiable (no literal survived).
+  bool block_model(const std::vector<Lit>& lits);
+  /// Unwinds the trail to level 0.  Enumeration calls this on every exit
+  /// so that root-level operations (units, simplify, epochs) stay legal.
+  void backtrack_to_root() { cancel_until(0); }
+  /// Current decision level: 0 between calls, except right after a True
+  /// next_model or a block_model (mid-enumeration).
+  int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
   /// Model of the last successful solve() (total assignment).
   const Model& model() const { return model_; }
@@ -241,14 +266,10 @@ class Solver {
     return p.sign() ? ~v : v;
   }
   lbool value(Var v) const { return assigns_[static_cast<std::size_t>(v)]; }
-  /// Shared core of add_clause / add_clause_from: filters `lits` in place;
-  /// with `steal` the surviving literals are moved into the stored clause.
-  bool add_clause_impl(std::vector<Lit>& lits, bool steal);
   /// Detaches and erases the `target` worst learnt clauses (highest LBD,
   /// then lowest activity) from `removable`.
   void drop_worst_learnts(std::vector<Clause*>& removable, std::size_t target);
   int level(Var v) const { return vardata_[static_cast<std::size_t>(v)].level; }
-  int decision_level() const { return static_cast<int>(trail_lim_.size()); }
   bool locked(const Clause* c) const;
 
   // --- VSIDS ---
@@ -322,7 +343,6 @@ class Solver {
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_toclear_;
   std::vector<Lit> reason_buf_;
-  std::vector<Lit> add_buf_;  // scratch for add_clause_from
   Clause xor_confl_buf_;
 };
 

@@ -105,9 +105,9 @@ TEST_P(AnytimeCutResume, ResumeEqualsUninterrupted) {
     EXPECT_TRUE(cut.status == RequestStatus::kPartial ||
                 cut.status == RequestStatus::kTimedOut);
     EXPECT_LT(cut.iterations_completed, full.iterations_completed);
-    // (No ordering claim against full.achieved_delta: the binomial median
-    // tail is not monotone across even/odd estimate counts — 2 estimates
-    // "achieve" e^{-3} < tail(3) because both must be bad to spoil t=2.)
+    // The cut settled a prefix of the full run's iterations, so it can
+    // never claim more confidence than the full run.
+    EXPECT_GE(cut.achieved_delta, full.achieved_delta) << "cut at " << first;
     if (cut.status == RequestStatus::kPartial) {
       EXPECT_TRUE(cut.result.valid);
       EXPECT_EQ(cut.achieved_delta,

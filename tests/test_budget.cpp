@@ -237,6 +237,17 @@ TEST(AchievedDeltaTest, MatchesTheBinomialMedianTail) {
     EXPECT_EQ(approxmc_delta_achieved(t), tail);
     prev = tail;
   }
+  // Over every t, odd and even, the label never improves with fewer
+  // estimates; an even t is labelled like t - 1 (its fold drops one).
+  prev = 1.0;
+  for (int t = 1; t <= 41; ++t) {
+    const double delta = approxmc_delta_achieved(t);
+    EXPECT_LE(delta, prev) << "t = " << t;
+    if (t % 2 == 0) {
+      EXPECT_EQ(delta, approxmc_median_failure_tail(t - 1)) << "t = " << t;
+    }
+    prev = delta;
+  }
   // approxmc_iteration_count returns the first odd t beating delta.
   for (const double delta : {0.3, 0.2, 0.1, 0.05}) {
     const int t = approxmc_iteration_count(delta);

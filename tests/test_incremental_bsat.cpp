@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <utility>
+
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
 #include "hashing/xor_hash.hpp"
@@ -144,6 +147,78 @@ TEST(IncrementalBsat, UnsatBaseFormulaStaysUnsat) {
   engine.push_rows(draw_xor_hash({0, 1}, 1, rng));
   EXPECT_EQ(engine.enumerate_cell(0, 10, Deadline::never(), false).count, 0u);
   EXPECT_EQ(engine.enumerate_cell(1, 10, Deadline::never(), false).count, 0u);
+}
+
+/// BSAT on a fresh solver loaded with cnf ∧ (first m rows of h).
+std::uint64_t fresh_cell_count(const Cnf& cnf, const XorHash& h, std::size_t m,
+                               const std::vector<Var>& proj,
+                               std::uint64_t max_models) {
+  Cnf hashed = cnf;
+  for (std::size_t i = 0; i < m; ++i) hashed.add_xor(h.rows[i]);
+  Solver solver;
+  solver.load(hashed);
+  EnumerateOptions opts;
+  opts.max_models = max_models;
+  opts.projection = proj;
+  opts.store_models = false;
+  return enumerate_models(solver, opts).count;
+}
+
+TEST(IncrementalBsatProperty, ConsecutiveCellsMatchFreshSolverCounts) {
+  // Capped and exhaustive cells interleaved on one engine: whatever trail
+  // or blocks one call leaves behind must not leak into the next.
+  Rng rng(606);
+  const std::vector<Var> proj{0, 1, 2, 3, 4, 5, 6, 7};
+  for (int round = 0; round < 8; ++round) {
+    const Cnf cnf = random_cnf_xor(11, 20, 3, 2, rng);
+    IncrementalBsat engine(cnf, proj);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      engine.begin_hash();
+      const XorHash h = draw_xor_hash(proj, 4, rng);
+      engine.push_rows(h);
+      const std::pair<std::size_t, std::uint64_t> calls[] = {
+          {0, 100000}, {2, 3}, {4, 100000}, {1, 1}, {3, 100000}, {2, 100000}};
+      for (const auto& [m, cap] : calls) {
+        const auto r = engine.enumerate_cell(m, cap, Deadline::never(), false);
+        EXPECT_EQ(r.count, fresh_cell_count(cnf, h, m, proj, cap))
+            << "round " << round << " epoch " << epoch << " m " << m;
+        EXPECT_EQ(engine.solver().decision_level(), 0);
+      }
+    }
+  }
+}
+
+TEST(IncrementalBsatProperty, LimitExitsLeaveLevelZeroAndExactNextCount) {
+  Rng rng(707);
+  const std::vector<Var> proj{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  std::atomic<bool> tripped{true};
+  int cut_mid_cell = 0;
+  for (int round = 0; round < 10; ++round) {
+    const Cnf cnf = random_cnf_xor(14, 40, 3, 2, rng);
+    IncrementalBsat engine(cnf, proj);
+    const XorHash h = draw_xor_hash(proj, 3, rng);
+    engine.push_rows(h);
+    const std::uint64_t exact = reference_cell_count(cnf, h, 2, proj);
+
+    ProbeLimits one_conflict;
+    one_conflict.conflict_budget = 1;
+    ProbeLimits expired;
+    expired.deadline = Deadline::in_seconds(0.0);
+    ProbeLimits cancelled;
+    cancelled.cancel = &tripped;
+    for (const ProbeLimits& limits : {one_conflict, expired, cancelled}) {
+      const auto cut = engine.enumerate_cell(2, 100000, limits, false);
+      EXPECT_EQ(engine.solver().decision_level(), 0) << "round " << round;
+      if (cut.timed_out && cut.count > 0) ++cut_mid_cell;
+      const auto next =
+          engine.enumerate_cell(2, 100000, Deadline::never(), false);
+      ASSERT_TRUE(next.exhausted) << "round " << round;
+      EXPECT_EQ(next.count, exact) << "round " << round;
+    }
+  }
+  // The conflict cap must have cut at least one cell after some models,
+  // i.e. from a mid-enumeration trail.
+  EXPECT_GT(cut_mid_cell, 0);
 }
 
 TEST(ApproxMc, OnePersistentSolverPerRun) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "helpers.hpp"
 #include "sat/solver.hpp"
 
@@ -224,19 +226,51 @@ TEST(Solver, GaussRunsOnXorsAddedAfterSolve) {
   EXPECT_EQ(s.fixed_value(c), lbool::False);
 }
 
-TEST(Solver, AddClauseFromMatchesAddClause) {
+/// The clause that blocks `m` over all variables: some variable must flip.
+std::vector<Lit> blocking_clause(const Model& m) {
+  std::vector<Lit> block;
+  for (std::size_t v = 0; v < m.size(); ++v)
+    block.push_back(Lit(static_cast<Var>(v), m[v] == lbool::True));
+  return block;
+}
+
+TEST(Solver, NextModelAndBlockModelVisitEveryModelOnce) {
   Rng rng(29);
   for (int round = 0; round < 20; ++round) {
     const Cnf cnf = random_cnf(9, 30, 3, rng);
-    Solver via_vector;
-    via_vector.load(cnf);
-    Solver via_buffer;
-    while (via_buffer.num_vars() < cnf.num_vars()) via_buffer.new_var();
-    bool ok = true;
-    for (const auto& clause : cnf.clauses())
-      ok = via_buffer.add_clause_from(clause.data(), clause.size()) && ok;
-    EXPECT_EQ(via_vector.solve(), via_buffer.solve()) << "round " << round;
+    Solver s;
+    s.load(cnf);
+    std::set<Model> seen;
+    for (;;) {
+      const lbool status = s.next_model({}, Deadline::never(), 0, nullptr);
+      if (status != lbool::True) {
+        EXPECT_EQ(status, lbool::False) << "round " << round;
+        break;
+      }
+      const Model m = s.model();
+      EXPECT_TRUE(cnf.satisfied_by(m)) << "round " << round;
+      EXPECT_TRUE(seen.insert(m).second) << "round " << round;
+      if (!s.block_model(blocking_clause(m))) break;
+    }
+    EXPECT_EQ(seen.size(), brute_force_count(cnf)) << "round " << round;
   }
+}
+
+TEST(Solver, BlockModelDropsRootLiteralsAndUnitsAtRoot) {
+  // a is a root fact, so blocking {¬a, ¬b} leaves the unit ¬b; blocking
+  // the second model then leaves no literal at all.
+  Solver s;
+  const Var a = s.new_var();
+  const Var b = s.new_var();
+  ASSERT_TRUE(s.add_clause({pos(a)}));
+  ASSERT_EQ(s.next_model({}, Deadline::never(), 0, nullptr), lbool::True);
+  const lbool first_b = s.model()[static_cast<std::size_t>(b)];
+  ASSERT_TRUE(s.block_model(blocking_clause(s.model())));
+  EXPECT_EQ(s.fixed_value(b), ~first_b);
+  ASSERT_EQ(s.next_model({}, Deadline::never(), 0, nullptr), lbool::True);
+  EXPECT_FALSE(s.block_model(blocking_clause(s.model())));
+  EXPECT_FALSE(s.okay());
+  EXPECT_EQ(s.solve(), lbool::False);
 }
 
 TEST(Solver, AbsorberActivatedXorToggles) {

@@ -142,9 +142,8 @@ std::unique_ptr<IncrementalBsat> unigen_prepare(
   // also fire inside prepare's iteration-keyed count.
   amc.budget.cancel = options.budget.cancel;
   // 0 = "embedding decides"; for a caller that did not wire a pool through
-  // (plain UniGen), that is the serial in-place path.  SamplerPool::prepare
-  // resolves 0 to its own width before calling here.  With a shared pool
-  // the pool's width rules and num_threads is ignored.
+  // (plain UniGen), that is a 1-worker count.  With a shared pool
+  // (SamplerPool) the pool's width rules and num_threads is ignored.
   amc.num_threads =
       options.counter_threads == 0 ? 1 : options.counter_threads;
   amc.shared_pool = pool;

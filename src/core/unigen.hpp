@@ -57,9 +57,9 @@ struct UniGenOptions {
   double counter_epsilon = 0.8;
   double counter_confidence = 0.8;
   /// Threads the one-time ApproxMC call fans its median iterations across
-  /// (ApproxMcOptions::num_threads).  0 = let the embedding decide: a
-  /// single UniGen instance counts serially, a SamplerPool counts on as
-  /// many threads as it samples with.  The parallel count is byte-identical
+  /// (ApproxMcOptions::num_threads) on a single UniGen instance; 0 = 1.
+  /// A SamplerPool ignores it and always counts on its own workers, at its
+  /// own width (the warm handoff below).  The count is byte-identical
   /// across thread counts, so q — and every downstream sample — is too,
   /// under the usual timeout caveat: a bsat_timeout_s or prepare budget
   /// that fires mid-count is schedule-dependent and can shift the median
@@ -139,9 +139,8 @@ struct UniGenStats {
   /// Incremental-BSAT engine counters for the sampling engine shared by the
   /// easy-case check and every accept_cell: one persistent solver per
   /// UniGen instance, so solver_rebuilds stays at 1 across all samples.
-  /// (prepare's ApproxMC run owns its own engines — one on the serial
-  /// path, one per serving worker when counter_threads fans it out; their
-  /// build total is counter_solver_rebuilds.)
+  /// (prepare's ApproxMC run owns its own engines — one per serving
+  /// counter worker; their build total is counter_solver_rebuilds.)
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;

@@ -4,12 +4,10 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "counting/parallel_approxmc.hpp"
 #include "obs/trace.hpp"
 #include "sat/incremental_bsat.hpp"
-#include "service/process_fleet.hpp"
 #include "service/worker_pool.hpp"
 
 namespace unigen {
@@ -96,9 +94,9 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     return finish(RequestStatus::kComplete);
   }
 
-  // One persistent solver for the prologue (and, on the serial path, the
-  // whole count); the parallel path moves it into worker 0 so the probe's
-  // warm-up is not wasted and each worker still builds exactly one solver.
+  // One persistent solver for the prologue; the fan-out moves it into
+  // worker 0 so the probe's warm-up is not wasted and each worker still
+  // builds exactly one solver.
   // With a shared pool (the warm-handoff path) even that build is skipped:
   // the prologue probes worker 0's persistent engine — legal because the
   // dispatcher owns the pool between runs — so nothing this count warms up
@@ -159,9 +157,9 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
     st.prologue_done = true;
     st.iterations_requested = approxmc_iteration_count(options.delta);
     // Per-iteration keyed RNG streams: iteration i draws everything from
-    // fork_stream(i) of a one-draw fork of the caller's rng.  Serial and
-    // parallel paths advance the caller's rng identically (that one draw)
-    // and hand iteration i identical randomness, which — together with the
+    // fork_stream(i) of a one-draw fork of the caller's rng.  Every width and
+    // backend advances the caller's rng identically (that one draw) and
+    // hands iteration i identical randomness, which — together with the
     // canonical fold below — makes the count a pure function of
     // (formula, options, seed), thread count excluded.
     // On the first slice this advances the caller's rng exactly as the
@@ -190,117 +188,18 @@ ApproxMcAnytime run_anytime(const Cnf& cnf, ApproxMcAnytimeState st,
   for (std::size_t i = 0; i < st.outcomes.size(); ++i)
     if (st.settled[i]) spent += st.outcomes[i].bsat_calls;
 
-  std::size_t threads =
-      options.num_threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : options.num_threads;
-  // More workers than iterations would only build idle engines.
-  threads = std::min(
-      threads, static_cast<std::size_t>(st.iterations_requested));
-
-  // Process-fleet backend: ship the unsettled iterations to supervised
-  // worker processes instead of the in-process fan-out.  Each task frame
-  // carries its iteration's raw RNG state and the shared Setup carried the
-  // canonical formula, so every outcome is the same pure function of its
-  // stream the in-process paths compute — a worker crash costs one retry,
-  // a poisoned task just leaves its slot unsettled for the fold below
-  // (partial accounting / resume).  Fleet dispatch always cold-starts
-  // (start_m = 0, the deterministic-mode policy) — outcome-neutral, only
-  // probe counts move.  Falls through to the in-process dispatch when no
-  // worker can be spawned.
-  bool fleet_served = false;
-  if (options.fleet.backend == ExecBackend::kProcessFleet && pool == nullptr) {
-    ProcessFleet fleet(options.fleet);
-    if (fleet.start(ProcessFleet::make_count_setup(formula, sampling_set,
-                                                   st.n, st.pivot, options),
-                    threads)) {
-      std::vector<ProcessFleet::TaskSpec> specs;
-      std::vector<std::size_t> slot;
-      for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-        if (st.settled[i]) continue;
-        ProcessFleet::TaskSpec s;
-        s.id = i;
-        s.rng_state = st.iter_base.fork_stream(i).state();
-        // Trace propagation (observability only): worker spans land under
-        // this run's count.request span, in this run's trace.
-        const obs::TraceContext tctx = obs::current_context();
-        s.trace_id = tctx.trace_id;
-        s.parent_span = tctx.span_id;
-        specs.push_back(s);
-        slot.push_back(i);
-      }
-      ProcessFleet::RunControl control;
-      control.units_granted = grant;
-      control.units_spent = spent;
-      const std::vector<ProcessFleet::TaskOutcome> served =
-          fleet.run(specs, budget, &control);
-      for (std::size_t j = 0; j < served.size(); ++j) {
-        if (!served[j].served) continue;  // poisoned/cut → stays unsettled
-        const ipc::ResultMsg& r = served[j].result;
-        ApproxMcCoreOutcome& o = st.outcomes[slot[j]];
-        o.ok = r.ok != 0;
-        o.timed_out = r.timed_out != 0;
-        o.cancelled = r.cancelled != 0;
-        o.faulted = r.faulted != 0;
-        o.leapfrogged = r.leapfrogged != 0;
-        o.cell_count = r.cell_count;
-        o.hash_count = r.hash_count;
-        o.bsat_calls = r.bsat_calls;
-      }
-      fold_engine();  // the prologue engine's stats; workers are external
-      fleet_served = true;
-    }
-  }
-
-  if (fleet_served) {
-    // Outcomes are in; the canonical fold below settles them.
-  } else if (pool != nullptr || threads > 1) {
-    // The shared-pool path routes through the fan-out even at width 1:
-    // iterations must run on the pool's persistent workers (so their
-    // warm-up survives the call), and the count's bytes are the same on
-    // every path anyway.  Extra pool workers beyond the iteration count
-    // simply never pull a task (and, engines being lazily built, cost
-    // nothing here).
-    ParallelCountControl control;
-    control.settled = &st.settled;
-    control.units_granted = grant;
-    control.units_spent = spent;
-    control.cold_starts = det;
-    parallel_approxmc_iterations(formula, sampling_set, options, threads,
-                                 st.iter_base, std::move(engine), st.outcomes,
-                                 result, control);
-  } else {
-    LeapfrogHint hint(options.leapfrog_window);
-    for (std::size_t i = 0; i < st.outcomes.size(); ++i) {
-      if (st.settled[i]) {
-        // ApproxMC2-style leapfrog: completed iterations (here, from an
-        // earlier slice) seed later searches — same rule as below.
-        if (!det) {
-          if (const auto m = leapfrog_publish(st.outcomes[i]))
-            hint.publish(*m);
-        }
-        continue;
-      }
-      if (budget.cancelled()) break;   // later slots stay "skipped"
-      if (budget.wall_expired()) break;
-      if (grant != 0 && spent >= grant) break;
-      Rng it_rng = st.iter_base.fork_stream(i);
-      st.outcomes[i] = approxmc_core_iteration(*engine, st.n, st.pivot,
-                                               options,
-                                               det ? 0 : hint.suggest(),
-                                               it_rng, /*fault_key=*/i);
-      spent += st.outcomes[i].bsat_calls;
-      if (!det) {
-        if (const auto m = leapfrog_publish(st.outcomes[i]))
-          hint.publish(*m);
-      }
-    }
-    fold_engine();
-  }
+  ParallelCountControl control;
+  control.settled = &st.settled;
+  control.units_granted = grant;
+  control.units_spent = spent;
+  control.cold_starts = det;
+  parallel_approxmc_iterations(formula, sampling_set, options, st.iter_base,
+                               std::move(engine), st.outcomes, result,
+                               control);
 
   // Canonical fold: walk outcomes in iteration order — whatever schedule
-  // produced them — then take the median by value.  Identical on the
-  // serial and every parallel schedule because each outcome is a pure
+  // produced them — then take the median by value.  Identical on every
+  // width, backend and schedule because each outcome is a pure
   // function of its iteration's stream (approxmc_core.hpp).
   //
   // Settlement first.  Deterministic mode admits the longest prefix of

@@ -68,8 +68,10 @@ struct ApproxMcOptions {
   /// per-BSAT-call timeout (the paper's 2500 s budget), deterministic unit
   /// budgets, cancellation, fault plan.  See service/budget.hpp.
   Budget budget;
-  /// Worker threads the t median iterations fan out across: 1 = serial
-  /// (in-place, no threads spawned), 0 = hardware_concurrency, n = n.
+  /// Worker threads the t median iterations fan out across: n = n (1 = one
+  /// pool worker, run after run in iteration order), 0 =
+  /// hardware_concurrency.  Every width runs the same WorkerPool fan-out
+  /// (counting/parallel_approxmc.hpp).
   /// Iterations are independent (that is the median argument), each draws
   /// from its own keyed RNG stream, and results fold in canonical
   /// iteration order — so the reported count is byte-identical across all
@@ -91,14 +93,6 @@ struct ApproxMcOptions {
   /// projected counts over S are invariant, see simplify/simplify.hpp).
   /// Callers that already simplified the formula turn it off.
   SimplifyOptions simplify;
-  /// Leapfrog hint policy for the hash-count searches: 1 (default) = the
-  /// classic last-completed-m, k > 1 = median of the last k completed m's
-  /// (see LeapfrogHint in counting/parallel_approxmc.hpp).  Outcome-neutral
-  /// either way — the count's bytes never depend on this — only probe
-  /// counts move; bench_parallel_count A/Bs the policies and the measured
-  /// default stays 1 (windowing cannot reduce cold-start misses, which are
-  /// the dominant term at high thread counts).
-  std::size_t leapfrog_window = 1;
   /// Borrowed, already-started WorkerPool (over the same formula this
   /// count will run on — so set `simplify.enabled = false` and pass the
   /// pool's own formula) whose workers serve the fan-out instead of a
@@ -107,8 +101,8 @@ struct ApproxMcOptions {
   /// prologue too (no separate prologue engine is built), every engine
   /// warmed by the count keeps serving whatever the pool does next, and
   /// one-time solver builds drop from 2N to N per (pool, formula).  The
-  /// count's bytes are unchanged — identical to the serial path and to a
-  /// private pool at every width (engines' learnt history never reaches
+  /// count's bytes are unchanged — identical to a private pool at every
+  /// width (engines' learnt history never reaches
   /// reported values).  num_threads is ignored when set (the pool's width
   /// rules); scrubbed from anytime resume states like the budget pointers.
   WorkerPool* shared_pool = nullptr;
@@ -147,11 +141,10 @@ struct ApproxMcResult {
   int iterations_succeeded = 0;
   std::uint64_t bsat_calls = 0;
   // Incremental-BSAT engine counters for the run: all bsat_calls above are
-  // served by persistent solvers (one on the serial path, one per worker on
-  // the parallel path), so solver_rebuilds stays at the number of engines
-  // built unless the inert-row cap forces a rebuild.  On parallel runs
-  // these flat fields are the SolverStats::merge fold across workers; the
-  // per-worker breakdown is in `workers`.
+  // served by persistent solvers (one per pool worker), so solver_rebuilds
+  // stays at the number of engines built unless the inert-row cap forces a
+  // rebuild.  On pool runs these flat fields are the SolverStats::merge
+  // fold across workers; the per-worker breakdown is in `workers`.
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
   std::uint64_t retracted_blocks = 0;
@@ -163,20 +156,21 @@ struct ApproxMcResult {
   /// warm + cold == iterations actually started (budget skips excluded).
   std::uint64_t leapfrog_warm_starts = 0;
   std::uint64_t leapfrog_cold_starts = 0;
-  /// Worker threads the iterations actually fanned out across (1 when the
-  /// run stayed serial, including exact/unsat short-circuits).
+  /// Pool workers the iterations fanned out across (1 when the run never
+  /// reached the fan-out — exact/unsat short-circuits — or ran on the
+  /// process fleet).
   std::size_t threads_used = 1;
-  /// Per-worker engine counters of a parallel run, indexed by worker
-  /// (empty on the serial path).  Worker 0 includes the shared prologue:
-  /// it adopts the engine that served the initial exact-count probe.
+  /// Per-worker engine counters of a pool run, indexed by worker (empty
+  /// when no pool ran).  Worker 0 includes the shared prologue: it adopts
+  /// the engine that served the initial exact-count probe.
   std::vector<SolverStats> workers;
   /// What the preprocessing pipeline did (ran == false when disabled).
   SimplifyStats simplify;
 };
 
 /// Folds an engine's counters into the flat diagnostic fields of `result`
-/// (additive).  The one fold both the serial and the parallel path use, so
-/// a counter surfaced in ApproxMcResult cannot drift between them.
+/// (additive).  The one fold the prologue, the pool and the fleet paths
+/// use, so a counter surfaced in ApproxMcResult cannot drift between them.
 void fold_solver_stats(ApproxMcResult& result, const SolverStats& st);
 
 /// pivot(ε) = 2·⌈3·e^{1/2}·(1 + 1/ε)²⌉  (CP 2013).

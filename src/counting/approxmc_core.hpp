@@ -1,7 +1,7 @@
 #pragma once
 // ApproxMcCore — one median iteration of ApproxMC, shared verbatim by the
-// serial loop (counting/approxmc.cpp) and the parallel counting service
-// (counting/parallel_approxmc.cpp) so the two paths cannot drift.
+// in-process fan-out (counting/parallel_approxmc.cpp) and the fleet worker
+// (service/workerd_main.cpp) so the two backends cannot drift.
 //
 // An iteration draws one hash h from H_xor(|S|, ·, 3) lazily (rows appear
 // as the search climbs, nested-prefix style) and finds the smallest hash
@@ -84,13 +84,12 @@ ApproxMcCoreOutcome approxmc_core_iteration(IncrementalBsat& engine,
                                             std::uint32_t start_m, Rng& rng,
                                             std::uint64_t fault_key = 0);
 
-/// The one leapfrog-hint publication rule, shared by the serial loop and
-/// the parallel fan-out so the two cannot drift: an iteration's m may seed
-/// later searches iff the iteration ran to a completed estimate.  A cut
-/// iteration (timeout, fault, cancel) must publish nothing — its m is
-/// where an aborted search happened to stand, not a concentration point,
-/// and a stale hint would bias later iterations' probe counts.  Returns
-/// the m to publish, or nullopt.
+/// The one leapfrog-hint publication rule (fresh and resumed iterations
+/// alike): an iteration's m may seed later searches iff the iteration ran
+/// to a completed estimate.  A cut iteration (timeout, fault, cancel) must
+/// publish nothing — its m is where an aborted search happened to stand,
+/// not a concentration point, and a stale hint would bias later
+/// iterations' probe counts.  Returns the m to publish, or nullopt.
 std::optional<std::uint32_t> leapfrog_publish(const ApproxMcCoreOutcome& o);
 
 }  // namespace unigen

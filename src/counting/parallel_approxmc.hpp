@@ -1,40 +1,39 @@
 #pragma once
-// Parallel ApproxMC — the counting half of the service layer.
+// The fan-out of ApproxMC's median iterations — the one dispatch every
+// count goes through, whatever its width or backend.
 //
 // Algorithm 1 of the paper blocks on one ApproxMC call before any sample
 // can be served, and ApproxMC itself is t independent median iterations —
 // the same independence that makes sampling embarrassingly parallel
 // (UniGen2's observation) applies verbatim to the counting phase.  This
-// module fans the t ApproxMcCore iterations across a WorkerPool:
+// module runs the t ApproxMcCore iterations on one of two backends:
 //
-//   * each worker owns one lazily-built IncrementalBsat over the shared
-//     (already simplified) formula; worker 0 adopts the engine the
-//     exact-count prologue warmed up, so every worker builds exactly one
-//     solver (ApproxMcResult::workers[i].solver_rebuilds == 1);
-//   * iteration i draws everything from keyed stream i — identical to the
-//     serial loop — so its outcome is schedule-independent;
-//   * the hash-count search of each iteration starts leapfrogged from the
-//     last *completed* iteration's m (a lock-free shared hint; cold gallop
-//     when none has finished yet).  Monotonicity of nested-prefix cells
-//     (approxmc_core.hpp) makes the starting point a pure probe-count
-//     optimization, so the racy hint is harmless: any hint value yields
-//     the same outcome, just fewer or more probes;
-//   * outcomes land in canonical iteration-order slots; the caller folds
-//     the median from them exactly as the serial path does.
+//   * the in-process WorkerPool (every width, 1 included): each worker
+//     owns one lazily-built IncrementalBsat over the shared (already
+//     simplified) formula, and worker 0 adopts the engine the exact-count
+//     prologue warmed up, so every worker builds exactly one solver
+//     (ApproxMcResult::workers[i].solver_rebuilds == 1);
+//   * the supervised process fleet (ApproxMcOptions::fleet), which ships
+//     each iteration's raw RNG state to a unigen_workerd child.
 //
-// Net effect: approx_count(options.num_threads = N) returns byte-identical
-// counts for every N — including N = 1, the serial path — while wall-clock
-// scales with min(N, cores) and total BSAT probes stay within a leapfrog
-// miss or two of serial (tracked by leapfrog_warm/cold_starts and
+// Iteration i draws everything from keyed stream i on both backends, so
+// its outcome is schedule- and location-independent.  On the pool, the
+// hash-count search of each iteration starts leapfrogged from the last
+// *completed* iteration's m (ApproxMC2's leapfrogging; a relaxed atomic,
+// cold gallop while none has finished).  Monotonicity of nested-prefix
+// cells (approxmc_core.hpp) makes the starting point a pure probe-count
+// optimization, so the racy hint is harmless: any hint value yields the
+// same outcome, just fewer or more probes.  The fleet always cold-starts.
+//
+// Net effect: approx_count returns byte-identical counts for every
+// options.num_threads and on both backends, while wall-clock scales with
+// min(N, cores) and total BSAT probes stay within a leapfrog miss or two
+// of the 1-worker run (tracked by leapfrog_warm/cold_starts and
 // bench/bench_parallel_count.cpp).
 //
-// Entry point for callers is still approx_count (counting/approxmc.hpp),
-// which dispatches here; this header exists for the dispatcher and for
-// tests that want the fan-out in isolation.
+// Entry point for callers is approx_count (counting/approxmc.hpp), which
+// dispatches here; this header exists for that dispatcher.
 
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,78 +46,11 @@
 
 namespace unigen {
 
-/// The shared leapfrog hint of one fan-out, with a configurable policy
-/// (ApproxMcOptions::leapfrog_window):
-///
-///   window == 1  — classic last-completed-m: publish overwrites, suggest
-///                  returns the latest value.  The behavior every PR-4 run
-///                  had.
-///   window  > 1  — windowed median: suggest returns the median of the last
-///                  `window` published m's.  Rationale: with racing workers
-///                  the *latest* completion is whichever iteration happened
-///                  to finish last — an outlier m then misdirects every
-///                  search that starts before the next completion, while
-///                  the median of several completions tracks the
-///                  concentration point of the distribution.
-///
-/// Either way the hint is advisory and outcome-neutral (nested-prefix
-/// monotonicity, approxmc_core.hpp), which is what makes the deliberately
-/// racy relaxed atomics sufficient: a torn or stale read costs probes,
-/// never correctness.  suggest() == 0 means cold (nothing published yet).
-/// Note what no policy can buy: a cold start happens iff a search begins
-/// before the first completion *anywhere*, and publication timing is
-/// identical under every policy — windowing can only cheapen misses that
-/// start warm-but-misdirected, never reduce the cold-start count
-/// (bench_parallel_count A/Bs exactly this).
-class LeapfrogHint {
- public:
-  static constexpr std::size_t kMaxWindow = 15;
-
-  explicit LeapfrogHint(std::size_t window = 1)
-      : window_(window < 1 ? 1 : (window > kMaxWindow ? kMaxWindow : window)) {
-    for (auto& slot : ring_) slot.store(0, std::memory_order_relaxed);
-  }
-
-  /// Records a completed iteration's m (callers route through
-  /// leapfrog_publish first — the publication *rule* stays in one place).
-  void publish(std::uint32_t m) {
-    const std::uint64_t n = count_.fetch_add(1, std::memory_order_relaxed);
-    ring_[static_cast<std::size_t>(n % window_)].store(
-        m, std::memory_order_relaxed);
-  }
-
-  /// The start_m to suggest: 0 while nothing is published, else the median
-  /// of the last min(published, window) values (latest value when
-  /// window == 1).
-  std::uint32_t suggest() const {
-    const std::uint64_t published = count_.load(std::memory_order_relaxed);
-    if (published == 0) return 0;
-    const std::size_t n = static_cast<std::size_t>(
-        published < window_ ? published : window_);
-    if (n == 1 || window_ == 1) {
-      // Classic: the slot the latest publish landed in.
-      const std::size_t last =
-          static_cast<std::size_t>((published - 1) % window_);
-      return ring_[last].load(std::memory_order_relaxed);
-    }
-    std::array<std::uint32_t, kMaxWindow> vals;
-    for (std::size_t i = 0; i < n; ++i)
-      vals[i] = ring_[i].load(std::memory_order_relaxed);
-    std::nth_element(vals.begin(), vals.begin() + n / 2, vals.begin() + n);
-    return vals[n / 2];
-  }
-
- private:
-  std::size_t window_;
-  std::atomic<std::uint64_t> count_{0};
-  std::array<std::atomic<std::uint32_t>, kMaxWindow> ring_;
-};
-
 /// Anytime control of one fan-out; defaults reproduce the unbudgeted run.
 struct ParallelCountControl {
   /// Slots to skip (already settled by an earlier grant); null = none.
   const std::vector<char>* settled = nullptr;
-  /// Cumulative deterministic unit grant (0 = unlimited): workers stop
+  /// Cumulative deterministic unit grant (0 = unlimited): the backend stops
   /// *starting* iterations once the shared spent-counter reaches it.  The
   /// check is racy by design — work conservation only; the caller's
   /// canonical admission fold decides what the grant actually bought.
@@ -131,30 +63,43 @@ struct ParallelCountControl {
   bool cold_starts = false;
 };
 
-/// Fans `outcomes.size()` core iterations across `threads` workers.
-/// `formula` must be the (possibly simplified) formula the prologue probed
-/// and must outlive the call; `warm_engine` (worker 0 adopts it) is the
-/// prologue's engine.  Iteration i draws from iter_base.fork_stream(i) and
-/// reports to the fault plan under key i.  Fills `outcomes` in canonical
-/// iteration order and folds the per-worker engine counters into `result`
-/// (workers, the flat solver_* fields, and threads_used).  Leapfrog/median
-/// accounting stays with the caller, which processes `outcomes` the same
-/// way for every schedule.  Budget cuts (options.budget, `control`) leave
-/// the untouched slots default-valued (bsat_calls == 0); cancellation is
-/// observed both here (between iterations) and inside the pool.
+/// Runs the unsettled ones of `outcomes.size()` core iterations and fills
+/// their slots.  The slot contract is the same on both backends:
+///   * settled slots (control.settled) are skipped, never re-run;
+///   * no iteration starts once the unit grant is spent, the cancel token
+///     has tripped or the wall deadline (options.budget) has expired —
+///     slots left that way stay default-valued (bsat_calls == 0), as do a
+///     fleet's poisoned tasks;
+///   * iteration i draws from iter_base.fork_stream(i), reports to the
+///     fault plan under key i, and lands in slot i — canonical order,
+///     whatever the schedule.
+/// Median, settlement and leapfrog accounting stay with the caller, which
+/// folds `outcomes` the same way for every schedule.
 ///
-/// Pool ownership: when options.shared_pool is set (an already-started
-/// WorkerPool over the same `formula`/`sampling_set`), the fan-out runs on
-/// *its* workers — `threads` and `warm_engine` are ignored (the embedding
-/// already seeded worker 0 when it started the pool), engines warmed here
-/// stay warm for whatever the pool serves next, and task streams still
-/// fork from `iter_base` (WorkerPool::run's stream_base override), so the
-/// outcome bytes are identical to a private pool's.  Without it the call
-/// builds its own transient pool of `threads` workers, as before.
+/// Backend choice: the process fleet when options.fleet asks for it,
+/// options.shared_pool is null and at least one worker starts; the
+/// in-process WorkerPool otherwise.  `formula` must be the (possibly
+/// simplified) formula the prologue probed and must outlive the call;
+/// `warm_engine` is the prologue's engine (null with a shared pool).
+/// The pool backend folds its per-worker engine counters into `result`
+/// (workers, the flat solver_* fields, and threads_used); the fleet
+/// backend folds only `warm_engine`'s (its workers are external).  On a
+/// resume without cold starts, settled slots' m's seed the hint before
+/// any iteration runs, so resumed iterations start warm.
+///
+/// Pool ownership: with options.shared_pool (an already-started WorkerPool
+/// over the same `formula`/`sampling_set`) the fan-out runs on *its*
+/// workers — options.num_threads is ignored (the embedding already seeded
+/// worker 0 when it started the pool), engines warmed here stay warm for
+/// whatever the pool serves next, and task streams still fork from
+/// `iter_base` (WorkerPool::run's stream_base override), so the outcome
+/// bytes are identical to a private pool's.  Without it the call builds a
+/// transient pool of min(options.num_threads, iterations) workers
+/// (0 = hardware concurrency).
 void parallel_approxmc_iterations(const Cnf& formula,
                                   const std::vector<Var>& sampling_set,
                                   const ApproxMcOptions& options,
-                                  std::size_t threads, const Rng& iter_base,
+                                  const Rng& iter_base,
                                   std::unique_ptr<IncrementalBsat> warm_engine,
                                   std::vector<ApproxMcCoreOutcome>& outcomes,
                                   ApproxMcResult& result,

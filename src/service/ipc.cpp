@@ -9,6 +9,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "counting/approxmc_core.hpp"
+
 namespace unigen::ipc {
 
 void WireWriter::u32(std::uint32_t v) {
@@ -164,7 +166,6 @@ std::string encode_task(const TaskMsg& m) {
   w.u64(m.task_id);
   w.u32(m.attempt);
   for (const std::uint64_t s : m.rng_state) w.u64(s);
-  w.u32(m.start_m);
   w.u64(m.max_batch);
   w.f64(m.deadline_s);
   w.f64(m.bsat_timeout_s);
@@ -181,7 +182,6 @@ TaskMsg decode_task(const std::string& payload) {
   m.task_id = r.u64();
   m.attempt = r.u32();
   for (std::uint64_t& s : m.rng_state) s = r.u64();
-  m.start_m = r.u32();
   m.max_batch = r.u64();
   m.deadline_s = r.f64();
   m.bsat_timeout_s = r.f64();
@@ -190,6 +190,85 @@ TaskMsg decode_task(const std::string& payload) {
   m.trace_id = r.u64();
   m.parent_span = r.u64();
   return m;
+}
+
+void pack_count(ResultMsg& m, const ApproxMcCoreOutcome& o) {
+  m.ok = o.ok ? 1 : 0;
+  m.timed_out = o.timed_out ? 1 : 0;
+  m.cancelled = o.cancelled ? 1 : 0;
+  m.faulted = o.faulted ? 1 : 0;
+  m.leapfrogged = o.leapfrogged ? 1 : 0;
+  m.cell_count = o.cell_count;
+  m.hash_count = o.hash_count;
+  m.bsat_calls = o.bsat_calls;
+}
+
+ApproxMcCoreOutcome unpack_count(const ResultMsg& m) {
+  ApproxMcCoreOutcome o;
+  o.ok = m.ok != 0;
+  o.timed_out = m.timed_out != 0;
+  o.cancelled = m.cancelled != 0;
+  o.faulted = m.faulted != 0;
+  o.leapfrogged = m.leapfrogged != 0;
+  o.cell_count = m.cell_count;
+  o.hash_count = m.hash_count;
+  o.bsat_calls = m.bsat_calls;
+  return o;
+}
+
+void pack_sample(ResultMsg& m, SampleSlot slot) {
+  m.sample_status = static_cast<std::uint8_t>(slot.status);
+  m.models = std::move(slot.models);
+  m.sample_bsat_calls = slot.sample_bsat_calls;
+  m.timeout_retries = slot.timeout_retries;
+}
+
+std::optional<SampleSlot> unpack_sample(ResultMsg& m) {
+  if (m.sample_status >
+      static_cast<std::uint8_t>(SampleResult::Status::kCancelled))
+    return std::nullopt;
+  SampleSlot slot;
+  slot.status = static_cast<SampleResult::Status>(m.sample_status);
+  slot.models = std::move(m.models);
+  slot.sample_bsat_calls = m.sample_bsat_calls;
+  slot.timeout_retries = m.timeout_retries;
+  return slot;
+}
+
+void pack_spans(ResultMsg& m, const std::vector<obs::TraceEvent>& events,
+                std::uint32_t worker, std::uint32_t attempt) {
+  for (const obs::TraceEvent& e : events) {
+    SpanWire s;
+    s.name = e.name;
+    s.span_id = e.span_id;
+    s.parent_id = e.parent_id;
+    s.start_ns = e.start_ns;
+    s.end_ns = e.end_ns;
+    s.value = e.value;
+    s.worker = e.worker != 0 ? e.worker : worker;
+    s.attempt = e.attempt != 0 ? e.attempt : attempt;
+    m.spans.push_back(std::move(s));
+  }
+}
+
+std::vector<obs::TraceEvent> unpack_spans(const ResultMsg& m,
+                                          std::uint64_t trace_id) {
+  std::vector<obs::TraceEvent> events;
+  events.reserve(m.spans.size());
+  for (const SpanWire& s : m.spans) {
+    obs::TraceEvent e;
+    e.trace_id = trace_id;
+    e.span_id = s.span_id;
+    e.parent_id = s.parent_id;
+    e.start_ns = s.start_ns;
+    e.end_ns = s.end_ns;
+    e.value = s.value;
+    e.name = obs::intern_name(s.name.c_str());
+    e.worker = s.worker;
+    e.attempt = s.attempt;
+    events.push_back(e);
+  }
+  return events;
 }
 
 std::string encode_result(const ResultMsg& m) {

@@ -28,11 +28,18 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cnf/types.hpp"
+#include "core/sampler.hpp"
+#include "obs/trace.hpp"
 #include "simplify/simplify.hpp"
+
+namespace unigen {
+struct ApproxMcCoreOutcome;  // counting/approxmc_core.hpp
+}  // namespace unigen
 
 namespace unigen::ipc {
 
@@ -151,8 +158,6 @@ struct TaskMsg {
   /// parent's base — shipped as raw state so parent and worker agree on
   /// every draw.
   std::array<std::uint64_t, 4> rng_state{};
-  /// kCount: leapfrog hint (0 = cold start).  Outcome-neutral.
-  std::uint32_t start_m = 0;
   /// kSample: 0 = single witness, else batch cell cap.
   std::uint64_t max_batch = 0;
   /// Remaining call-level wall budget at dispatch; <= 0 = unarmed.
@@ -212,6 +217,34 @@ struct ResultMsg {
 
   static constexpr std::uint32_t kMaxSpans = 1u << 20;
 };
+
+/// The kSample payload of one Result: the post-processed request (single:
+/// at most one model, batch: the shuffled, truncated cell) and the
+/// accept-cell counters the parent folds into its per-worker stats.
+struct SampleSlot {
+  SampleResult::Status status = SampleResult::Status::kFail;
+  std::vector<Model> models;
+  std::uint64_t sample_bsat_calls = 0;
+  std::uint64_t timeout_retries = 0;
+};
+
+/// The one mapping between each task kind's outcome and its Result fields:
+/// the worker packs, the supervisor side unpacks, so adding a field is one
+/// edit here.  unpack_sample moves the models out of `m` and returns
+/// nullopt for a status byte no SampleResult::Status carries (the slot is
+/// then treated as unserved).
+void pack_count(ResultMsg& m, const ApproxMcCoreOutcome& o);
+ApproxMcCoreOutcome unpack_count(const ResultMsg& m);
+void pack_sample(ResultMsg& m, SampleSlot slot);
+std::optional<SampleSlot> unpack_sample(ResultMsg& m);
+/// The same for the attempt's trace fragment (observability only): the
+/// worker packs the events it recorded — an event without a worker or
+/// attempt tag gets `worker` / `attempt` — and the supervisor unpacks
+/// them into the task's trace `trace_id`, names interned.
+void pack_spans(ResultMsg& m, const std::vector<obs::TraceEvent>& events,
+                std::uint32_t worker, std::uint32_t attempt);
+std::vector<obs::TraceEvent> unpack_spans(const ResultMsg& m,
+                                          std::uint64_t trace_id);
 
 std::string encode_setup(const SetupMsg& m);
 SetupMsg decode_setup(const std::string& payload);

@@ -363,6 +363,7 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
         TaskOutcome& out = (*run->outcomes)[t];
         if (out.served || out.poisoned) break;
         out.served = true;
+        out.worker = static_cast<std::size_t>(&w - workers_.data());
         out.result = std::move(msg);
         ++run->settled;
         if (run->control != nullptr)
@@ -371,19 +372,9 @@ void ProcessFleet::process_frames(Worker& w, RunState* run) {
         // close the supervisor-side attempt span (observability only).
         const TaskSpec& spec = (*run->tasks)[t];
         if (spec.trace_id != 0 && obs::enabled()) {
-          for (const ipc::SpanWire& s : out.result.spans) {
-            obs::TraceEvent e;
-            e.trace_id = spec.trace_id;
-            e.span_id = s.span_id;
-            e.parent_id = s.parent_id;
-            e.start_ns = s.start_ns;
-            e.end_ns = s.end_ns;
-            e.value = s.value;
-            e.name = obs::intern_name(s.name.c_str());
-            e.worker = s.worker;
-            e.attempt = s.attempt;
+          for (const obs::TraceEvent& e :
+               ipc::unpack_spans(out.result, spec.trace_id))
             obs::record_span(e);
-          }
           if (att_start != 0) {
             obs::TraceEvent e;
             e.trace_id = spec.trace_id;
@@ -433,7 +424,6 @@ void ProcessFleet::dispatch(Worker& w, std::size_t task_index, RunState* run) {
   msg.task_id = spec.id;
   msg.attempt = out.attempts;
   msg.rng_state = spec.rng_state;
-  msg.start_m = spec.start_m;
   msg.max_batch = spec.max_batch;
   msg.deadline_s =
       budget.deadline.armed() ? budget.deadline.remaining_seconds() : 0.0;
@@ -727,15 +717,14 @@ ProcessFleet::FleetSnapshot ProcessFleet::snapshot() const {
   return snap;
 }
 
-std::string ProcessFleet::make_count_setup(
-    const Cnf& formula, const std::vector<Var>& sampling_set, std::uint32_t n,
-    std::uint64_t pivot, const ApproxMcOptions& options) {
-  (void)options;
+std::string ProcessFleet::make_count_setup(const Cnf& formula,
+                                           const std::vector<Var>& sampling_set,
+                                           std::uint64_t pivot) {
   ipc::SetupMsg m;
   m.kind = ipc::TaskKind::kCount;
   m.formula_dimacs = to_dimacs_canonical_string(formula);
   m.sampling_set = sampling_set;
-  m.n = n;
+  m.n = static_cast<std::uint32_t>(sampling_set.size());
   m.pivot = pivot;
   m.formula_vars = formula.num_vars();
   return ipc::encode_setup(m);

@@ -56,7 +56,6 @@
 
 #include "cnf/cnf.hpp"
 #include "core/unigen.hpp"
-#include "counting/approxmc.hpp"
 #include "service/budget.hpp"
 #include "service/fleet_options.hpp"
 #include "service/ipc.hpp"
@@ -100,7 +99,6 @@ class ProcessFleet {
   struct TaskSpec {
     std::uint64_t id = 0;
     std::array<std::uint64_t, 4> rng_state{};
-    std::uint32_t start_m = 0;   ///< kCount leapfrog hint (fleet: cold start)
     std::uint64_t max_batch = 0; ///< kSample: 0 = single, else batch cap
     /// Trace propagation (obs/trace.hpp): rides the Task frame so the
     /// worker's spans land in the request's trace; 0 = tracing off.
@@ -117,6 +115,8 @@ class ProcessFleet {
     bool served = false;
     bool poisoned = false;
     std::uint32_t attempts = 0;
+    /// Worker slot whose Result was accepted (meaningful when served).
+    std::size_t worker = 0;
     ipc::ResultMsg result;
   };
 
@@ -143,8 +143,7 @@ class ProcessFleet {
   /// Convenience Setup builders matching what unigen_workerd expects.
   static std::string make_count_setup(const Cnf& formula,
                                       const std::vector<Var>& sampling_set,
-                                      std::uint32_t n, std::uint64_t pivot,
-                                      const ApproxMcOptions& options);
+                                      std::uint64_t pivot);
   static std::string make_sample_setup(const Cnf& original,
                                        const std::vector<Var>& sampling_set,
                                        const UniGenPrepared& prep,

@@ -1,6 +1,7 @@
 #include "service/sampler_pool.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "service/process_fleet.hpp"
@@ -8,12 +9,11 @@
 
 namespace unigen {
 
-// What one fan-out is about: the request kind, the preallocated result
-// slots, and the call's effective options (the per-call budget lives in
-// options->budget).  The thread/cursor machinery lives in WorkerPool.
+// What one fan-out is about: the result slots (exactly one of `singles` /
+// `batches` is set), the batch cap (0 = singles) and the call's effective
+// options (the per-call budget lives in options->budget).  The
+// thread/cursor machinery lives in WorkerPool.
 struct SamplerPool::Job {
-  enum class Kind { kSingles, kBatches };
-  Kind kind = Kind::kSingles;
   std::size_t max_batch = 0;
   const UniGenOptions* options = nullptr;
   std::uint64_t first_stream = 0;
@@ -25,19 +25,14 @@ struct SamplerPool::Job {
   std::vector<char> served;
 };
 
-SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng) {
-  if (r.ok())
-    return SampleResult::success(std::move(r.cell[rng.below(r.cell.size())]));
-  SampleResult out;
-  out.status = sample_status_from_request(r.status);
-  return out;
-}
-
-BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
-                                   Rng& rng) {
+BatchResult finish_request_from_cell(AcceptCellResult r, std::size_t max_batch,
+                                     Rng& rng) {
   BatchResult out;
   out.status = sample_status_from_request(r.status);
-  if (r.ok()) {
+  if (!r.ok()) return out;
+  if (max_batch == 0) {
+    out.models.push_back(std::move(r.cell[rng.below(r.cell.size())]));
+  } else {
     rng.shuffle(r.cell);
     if (r.cell.size() > max_batch) r.cell.resize(max_batch);
     out.models = std::move(r.cell);
@@ -64,32 +59,22 @@ bool SamplerPool::prepare(const Budget& budget) {
   obs::Span prepare_span("pool.prepare",
                          obs::trace_id_for_request(options_.seed, 0));
   Rng prepare_rng = pool_.fork_stream(0);
-  // The one-time ApproxMC call fans its median iterations across as many
-  // threads as this pool serves requests with (unless the caller pinned
-  // counter_threads explicitly), and — the warm handoff — across this
-  // pool's *own* workers: unigen_prepare starts pool_ itself (worker 0
-  // adopting the easy-case engine) and the count warms the very engines
-  // that will serve samples, so exactly one solver is built per worker
-  // over the pool lifetime.  The parallel count is byte-identical across
-  // thread counts, so q — and every sample downstream — still is; sample
-  // bytes are untouched by the richer learnt history (canonical cell
-  // ordering).  A counter_threads pinned to a different width keeps the
-  // legacy transient count at that width instead.
+  // The one-time ApproxMC call fans its median iterations across this
+  // pool's *own* workers — the warm handoff: unigen_prepare starts pool_
+  // itself (worker 0 adopting the easy-case engine) and the count warms the
+  // very engines that will serve samples, so exactly one solver is built
+  // per worker over the pool lifetime.  The count is byte-identical across
+  // widths, so q — and every sample downstream — is too; sample bytes are
+  // untouched by the richer learnt history (canonical cell ordering).
   UniGenOptions unigen_options = options_.unigen;
   unigen_options.budget = budget;
-  const bool handoff = unigen_options.counter_threads == 0 ||
-                       unigen_options.counter_threads == pool_.num_threads();
-  if (unigen_options.counter_threads == 0)
-    unigen_options.counter_threads = pool_.num_threads();
-  if (handoff) unigen_options.shared_pool = &pool_;
-  auto engine = unigen_prepare(cnf_, sampling_set_, unigen_options,
-                               prepare_rng, prep_, prepare_stats_);
+  unigen_options.shared_pool = &pool_;
+  // Hashed mode started pool_ inside unigen_prepare, which then returns no
+  // engine: the easy-case engine lives on as worker 0's.
+  unigen_prepare(cnf_, sampling_set_, unigen_options, prepare_rng, prep_,
+                 prepare_stats_);
   prepared_ = true;
   if (prep_.mode == UniGenPrepared::Mode::kHashed) {
-    // Handoff path: pool_ is already started (start() is idempotent and
-    // `engine` is null).  Legacy path: worker 0 adopts the engine the
-    // easy-case check built; the others build theirs on first use.
-    pool_.start(prep_.formula(cnf_), sampling_set_, std::move(engine));
     // Crash-isolated backend: bring up the worker processes now, shipping
     // the ORIGINAL formula plus the simplify options — each worker re-runs
     // the deterministic pipeline, reproducing the shrunk formula and the
@@ -128,28 +113,11 @@ void SamplerPool::serve(IncrementalBsat& engine, std::size_t worker, Job& job,
   AcceptCellResult r = unigen_accept_cell(
       engine, sampling_set_, prep_, *job.options, cnf_.num_vars(), rng,
       worker_ugstats_[worker], /*fault_key=*/job.first_stream + k);
-  job.served[k] = 1;
-  if (job.kind == Job::Kind::kSingles)
-    (*job.singles)[k] = finish_single_from_cell(std::move(r), rng);
-  else
-    (*job.batches)[k] = finish_batch_from_cell(std::move(r), job.max_batch, rng);
+  fill_slot(job, k, finish_request_from_cell(std::move(r), job.max_batch, rng));
 }
 
-SampleResult SamplerPool::inline_single(std::uint64_t stream) {
-  switch (prep_.mode) {
-    case UniGenPrepared::Mode::kUnsat:
-      return SampleResult::unsat();
-    case UniGenPrepared::Mode::kTrivial: {
-      Rng rng = pool_.fork_stream(stream);
-      return SampleResult::success(unigen_trivial_single(prep_, rng));
-    }
-    default:
-      return SampleResult::timeout();
-  }
-}
-
-BatchResult SamplerPool::inline_batch(std::uint64_t stream,
-                                      std::size_t max_batch) {
+BatchResult SamplerPool::inline_request(std::uint64_t stream,
+                                        std::size_t max_batch) {
   BatchResult out;
   switch (prep_.mode) {
     case UniGenPrepared::Mode::kUnsat:
@@ -157,7 +125,10 @@ BatchResult SamplerPool::inline_batch(std::uint64_t stream,
       return out;
     case UniGenPrepared::Mode::kTrivial: {
       Rng rng = pool_.fork_stream(stream);
-      out.models = unigen_trivial_batch(prep_, max_batch, rng);
+      if (max_batch == 0)
+        out.models.push_back(unigen_trivial_single(prep_, rng));
+      else
+        out.models = unigen_trivial_batch(prep_, max_batch, rng);
       out.status = SampleResult::Status::kOk;
       return out;
     }
@@ -165,6 +136,17 @@ BatchResult SamplerPool::inline_batch(std::uint64_t stream,
       out.status = SampleResult::Status::kTimeout;
       return out;
   }
+}
+
+void SamplerPool::fill_slot(Job& job, std::size_t k, BatchResult r) {
+  job.served[k] = 1;
+  if (job.batches != nullptr) {
+    (*job.batches)[k] = std::move(r);
+    return;
+  }
+  SampleResult& s = (*job.singles)[k];
+  s.status = r.status;
+  if (r.ok() && !r.models.empty()) s.witness = std::move(r.models.front());
 }
 
 void SamplerPool::account(SampleResult::Status status) {
@@ -187,20 +169,19 @@ void SamplerPool::account(SampleResult::Status status) {
   }
 }
 
-void SamplerPool::serve_via_fleet(Job& job, std::size_t count,
-                                  const Budget& budget) {
+void SamplerPool::serve_via_fleet(Job& job, const Budget& budget) {
   // Request k of this call is task (first_stream + k): the id doubles as
   // the worker-side fault-plan key and matches the in-process fault_key,
   // so one injection plan addresses the same request on both backends.
   // Raw RNG state per task keeps every draw identical to pool_'s keyed
   // fork; a crashed request's retry re-runs the same pure function.
+  const std::size_t count = job.served.size();
   std::vector<ProcessFleet::TaskSpec> specs(count);
   const obs::TraceContext tctx = obs::current_context();
   for (std::size_t k = 0; k < count; ++k) {
     specs[k].id = job.first_stream + k;
     specs[k].rng_state = pool_.fork_stream(job.first_stream + k).state();
-    specs[k].max_batch =
-        job.kind == Job::Kind::kBatches ? job.max_batch : 0;
+    specs[k].max_batch = job.max_batch;
     // Trace propagation (observability only): worker spans land under this
     // call's pool.request span.
     specs[k].trace_id = tctx.trace_id;
@@ -209,22 +190,16 @@ void SamplerPool::serve_via_fleet(Job& job, std::size_t count,
   std::vector<ProcessFleet::TaskOutcome> outcomes = fleet_->run(specs, budget);
   for (std::size_t k = 0; k < count; ++k) {
     if (!outcomes[k].served) continue;  // poisoned/cut → finish_job stamps
-    const ipc::ResultMsg& r = outcomes[k].result;
-    if (r.sample_status > static_cast<std::uint8_t>(
-                              SampleResult::Status::kCancelled))
-      continue;  // corrupt status byte: treat as unserved
-    const auto status = static_cast<SampleResult::Status>(r.sample_status);
-    job.served[k] = 1;
-    if (job.kind == Job::Kind::kSingles) {
-      SampleResult& s = (*job.singles)[k];
-      s.status = status;
-      if (status == SampleResult::Status::kOk && !r.models.empty())
-        s.witness = r.models.front();
-    } else {
-      BatchResult& b = (*job.batches)[k];
-      b.status = status;
-      b.models = std::move(outcomes[k].result.models);
-    }
+    std::optional<ipc::SampleSlot> slot =
+        ipc::unpack_sample(outcomes[k].result);
+    if (!slot) continue;  // corrupt status byte: treat as unserved
+    // Fleet slot w's accept-cell counters land on pool worker w (mod the
+    // pool width), so stats() totals match the in-process backend's.
+    UniGenStats& ws =
+        worker_ugstats_[outcomes[k].worker % worker_ugstats_.size()];
+    ws.sample_bsat_calls += slot->sample_bsat_calls;
+    ws.bsat_timeout_retries += slot->timeout_retries;
+    fill_slot(job, k, BatchResult{slot->status, std::move(slot->models)});
   }
 }
 
@@ -234,23 +209,72 @@ RequestStatus SamplerPool::finish_job(const Budget& budget, Job& job) {
   // cannot un-trip mid-call), so unserved slots are cancellations; with no
   // token the only thing that leaves a slot unserved is the wall deadline.
   const bool cancelled = budget.cancelled();
+  const auto status = cancelled ? SampleResult::Status::kCancelled
+                                : SampleResult::Status::kTimeout;
   std::size_t unserved = 0;
   for (std::size_t k = 0; k < job.served.size(); ++k) {
     if (job.served[k]) continue;
     ++unserved;
-    if (job.kind == Job::Kind::kSingles)
-      (*job.singles)[k] =
-          cancelled ? SampleResult::cancelled() : SampleResult::timeout();
+    if (job.singles != nullptr)
+      (*job.singles)[k].status = status;
     else
-      (*job.batches)[k].status = cancelled
-                                     ? SampleResult::Status::kCancelled
-                                     : SampleResult::Status::kTimeout;
+      (*job.batches)[k].status = status;
   }
   if (cancelled) return RequestStatus::kCancelled;
   if (unserved == job.served.size() && unserved > 0)
     return RequestStatus::kTimedOut;
   if (unserved > 0) return RequestStatus::kPartial;
   return RequestStatus::kComplete;
+}
+
+RequestStatus SamplerPool::run_job(Job& job, std::size_t count,
+                                   const Budget& budget) {
+  if (count == 0) return RequestStatus::kComplete;
+  if (job.singles != nullptr)
+    job.singles->resize(count);
+  else
+    job.batches->resize(count);
+  job.served.assign(count, 0);
+  job.first_stream = next_stream_;
+  next_stream_ += count;  // streams are consumed whatever the outcome
+  // A degenerate budget admits nothing: finish_job stamps every slot
+  // honestly before prepare() or any BSAT call.
+  if (budget.admission_status() == RequestStatus::kComplete) {
+    // Observability only: one span (and one trace id, keyed by the call's
+    // first request stream) per service call.  Cold calls nest prepare
+    // under it; every request span of this call becomes its child.
+    obs::Span call_span(
+        "pool.request",
+        obs::trace_id_for_request(options_.seed, job.first_stream));
+    call_span.set_value(count);
+    prepare();
+    const Stopwatch watch;
+    UniGenOptions opts = options_.unigen;
+    opts.budget = budget;
+    job.options = &opts;
+    if (prep_.mode != UniGenPrepared::Mode::kHashed) {
+      for (std::size_t k = 0; k < count; ++k) {
+        if (budget.cancelled() || budget.wall_expired()) break;
+        fill_slot(job, k, inline_request(job.first_stream + k, job.max_batch));
+      }
+    } else if (fleet_ != nullptr) {
+      serve_via_fleet(job, budget);
+    } else {
+      pool_.run(count, job.first_stream,
+                [this, &job](IncrementalBsat& engine, std::size_t worker,
+                             std::size_t k, Rng& rng) {
+                  serve(engine, worker, job, k, rng);
+                },
+                budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
+    }
+    service_seconds_ += watch.seconds();
+  }
+  const RequestStatus status = finish_job(budget, job);
+  if (job.singles != nullptr)
+    for (const SampleResult& r : *job.singles) account(r.status);
+  else
+    for (const BatchResult& r : *job.batches) account(r.status);
+  return status;
 }
 
 std::vector<SampleResult> SamplerPool::sample_many(std::size_t count) {
@@ -266,59 +290,9 @@ std::vector<BatchResult> SamplerPool::sample_batches(std::size_t requests,
 SampleManyResult SamplerPool::sample_many_within(std::size_t count,
                                                  const Budget& budget) {
   SampleManyResult out;
-  if (count == 0) return out;
-  // Degenerate budget: stamp every slot honestly before prepare() or any
-  // BSAT call.  Streams are still consumed — the stream ledger advances
-  // per request, whatever the outcome, so later requests are unaffected.
-  if (const RequestStatus adm = budget.admission_status();
-      adm != RequestStatus::kComplete) {
-    next_stream_ += count;
-    out.samples.assign(count, adm == RequestStatus::kCancelled
-                                  ? SampleResult::cancelled()
-                                  : SampleResult::timeout());
-    out.status = adm;
-    for (const SampleResult& r : out.samples) account(r.status);
-    return out;
-  }
-  const std::uint64_t first_stream = next_stream_;
-  next_stream_ += count;  // streams are consumed whatever the outcome
-  // Observability only: one span (and one trace id, keyed by the call's
-  // first request stream) per service call.  Cold calls nest prepare under
-  // it; every request span of this call becomes its child.
-  obs::Span call_span("pool.request",
-                      obs::trace_id_for_request(options_.seed, first_stream));
-  call_span.set_value(count);
-  prepare();
-  const Stopwatch watch;
-  out.samples.resize(count);
-  UniGenOptions opts = options_.unigen;
-  opts.budget = budget;
   Job job;
-  job.kind = Job::Kind::kSingles;
-  job.options = &opts;
-  job.first_stream = first_stream;
   job.singles = &out.samples;
-  job.served.assign(count, 0);
-  if (prep_.mode == UniGenPrepared::Mode::kHashed) {
-    if (fleet_ != nullptr)
-      serve_via_fleet(job, count, budget);
-    else
-      pool_.run(count, first_stream,
-                [this, &job](IncrementalBsat& engine, std::size_t worker,
-                             std::size_t k, Rng& rng) {
-                  serve(engine, worker, job, k, rng);
-                },
-                budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
-  } else {
-    for (std::size_t k = 0; k < count; ++k) {
-      if (budget.cancelled() || budget.wall_expired()) break;
-      out.samples[k] = inline_single(first_stream + k);
-      job.served[k] = 1;
-    }
-  }
-  out.status = finish_job(budget, job);
-  for (const SampleResult& r : out.samples) account(r.status);
-  service_seconds_ += watch.seconds();
+  out.status = run_job(job, count, budget);
   return out;
 }
 
@@ -326,57 +300,11 @@ SampleBatchesResult SamplerPool::sample_batches_within(std::size_t requests,
                                                        std::size_t max_batch,
                                                        const Budget& budget) {
   SampleBatchesResult out;
-  if (requests == 0 || max_batch == 0) return out;
-  if (const RequestStatus adm = budget.admission_status();
-      adm != RequestStatus::kComplete) {
-    next_stream_ += requests;
-    out.batches.resize(requests);
-    for (BatchResult& b : out.batches) {
-      b.status = adm == RequestStatus::kCancelled
-                     ? SampleResult::Status::kCancelled
-                     : SampleResult::Status::kTimeout;
-      account(b.status);
-    }
-    out.status = adm;
-    return out;
-  }
-  const std::uint64_t first_stream = next_stream_;
-  next_stream_ += requests;
-  obs::Span call_span("pool.request",
-                      obs::trace_id_for_request(options_.seed, first_stream));
-  call_span.set_value(requests);
-  prepare();
-  const Stopwatch watch;
-  out.batches.resize(requests);
-  UniGenOptions opts = options_.unigen;
-  opts.budget = budget;
+  if (max_batch == 0) return out;
   Job job;
-  job.kind = Job::Kind::kBatches;
   job.max_batch = max_batch;
-  job.options = &opts;
-  job.first_stream = first_stream;
   job.batches = &out.batches;
-  job.served.assign(requests, 0);
-  if (prep_.mode == UniGenPrepared::Mode::kHashed) {
-    if (fleet_ != nullptr)
-      serve_via_fleet(job, requests, budget);
-    else
-      pool_.run(requests, first_stream,
-                [this, &job](IncrementalBsat& engine, std::size_t worker,
-                             std::size_t k, Rng& rng) {
-                  serve(engine, worker, job, k, rng);
-                },
-                budget.cancel != nullptr ? budget.cancel->flag() : nullptr);
-  } else {
-    for (std::size_t k = 0; k < requests; ++k) {
-      if (budget.cancelled() || budget.wall_expired()) break;
-      out.batches[k] = inline_batch(first_stream + k, max_batch);
-      job.served[k] = 1;
-    }
-  }
-  out.status = finish_job(budget, job);
-  for (const BatchResult& r : out.batches) account(r.status);
-  service_seconds_ += watch.seconds();
+  out.status = run_job(job, requests, budget);
   return out;
 }
 

@@ -11,11 +11,10 @@
 //     since PR 3, running the count-safe simplification pipeline whose
 //     shrunk formula (owned by UniGenPrepared::simplifier) is what all
 //     engines load; witnesses are reconstructed onto the original formula
-//     inside unigen_accept_cell.  Since the counting layer went parallel,
-//     the ApproxMC call inside prepare() fans its median iterations across
-//     the same number of threads as this pool (UniGenOptions::
-//     counter_threads = 0 means "match the service"), so the one-time
-//     phase is no longer the serial latency floor of a deployment.
+//     inside unigen_accept_cell.  The ApproxMC call inside prepare() fans
+//     its median iterations across this pool's own workers (the warm
+//     handoff), so the one-time phase is no longer the serial latency
+//     floor of a deployment.
 //   * The thread/engine machinery lives in WorkerPool (worker_pool.hpp):
 //     N worker threads each own a private IncrementalBsat engine over the
 //     one shared (simplified) Cnf — one solver build per worker for the
@@ -72,8 +71,8 @@ struct SamplerPoolOptions {
   /// (formula, options, seed, request sequence) — thread count excluded.
   std::uint64_t seed = 0xDAC14;
   /// ε and the time budgets, shared by prepare and every worker.  Its
-  /// counter_threads = 0 default resolves to this pool's thread count, so
-  /// prepare()'s ApproxMC call parallelizes with the service.
+  /// counter_threads is not consulted: prepare()'s ApproxMC call always
+  /// runs on this pool's own workers, at the pool's width.
   UniGenOptions unigen;
 };
 
@@ -110,11 +109,11 @@ struct SampleManyResult {
 /// in-process pool (SamplerPool::serve) and the out-of-process worker
 /// (workerd_main.cpp) run byte-identical post-processing: the request's
 /// rng continues from wherever accept_cell left it — single pick via one
-/// rng.below, batch via rng.shuffle + truncate — which is part of the
-/// request's keyed-stream purity.
-SampleResult finish_single_from_cell(AcceptCellResult r, Rng& rng);
-BatchResult finish_batch_from_cell(AcceptCellResult r, std::size_t max_batch,
-                                   Rng& rng);
+/// rng.below (max_batch == 0; `models` then holds at most the one
+/// witness), batch via rng.shuffle + truncate to max_batch — which is part
+/// of the request's keyed-stream purity.
+BatchResult finish_request_from_cell(AcceptCellResult r, std::size_t max_batch,
+                                     Rng& rng);
 
 struct SampleBatchesResult {
   RequestStatus status = RequestStatus::kComplete;
@@ -131,6 +130,9 @@ struct SamplerPoolWorkerStats {
   /// built on first use).
   std::uint64_t solver_rebuilds = 0;
   std::uint64_t reused_solves = 0;
+  /// Accept-cell counters.  On the process fleet, the worker processes'
+  /// counters arrive with each Result and fleet slot w's land here at
+  /// w mod the pool width (the xor-row fields stay in-process only).
   std::uint64_t sample_bsat_calls = 0;
   std::uint64_t bsat_timeout_retries = 0;
   std::uint64_t total_xor_rows = 0;
@@ -177,9 +179,7 @@ class SamplerPool {
   /// samples: one solver build per worker across both phases, where the
   /// pre-handoff design built a transient counting pool and threw its N
   /// warmed engines away (asserted via IncrementalBsat::
-  /// total_constructions in tests/test_session_registry.cpp).  Exception:
-  /// a caller that pinned counter_threads to a width different from this
-  /// pool's keeps the legacy transient count at that width.
+  /// total_constructions in tests/test_session_registry.cpp).
   bool prepare();
 
   /// prepare() under a caller-supplied budget (deadline / cancellation /
@@ -228,19 +228,27 @@ class SamplerPool {
  private:
   struct Job;
 
+  /// The one job runner behind sample_many_within/sample_batches_within:
+  /// stream ledger, admission, prepare, the pool-or-fleet fan-out (inline
+  /// for non-hashed modes), honest stamping and accounting.  Sizes the
+  /// job's slot vector to `count` and returns the call-level verdict.
+  RequestStatus run_job(Job& job, std::size_t count, const Budget& budget);
   /// One request (lines 12–22) on the serving worker's engine and the
-  /// request's keyed stream; writes the result into the job's slot k.
+  /// request's keyed stream; fills the job's slot k.
   void serve(IncrementalBsat& engine, std::size_t worker, Job& job,
              std::size_t k, Rng& rng);
   /// Fans the job across the process fleet (fleet_ non-null) instead of
   /// pool_: same task keying, same bytes, crash-isolated workers.
-  void serve_via_fleet(Job& job, std::size_t count, const Budget& budget);
+  void serve_via_fleet(Job& job, const Budget& budget);
   /// Serves trivial/unsat/timed-out modes on the dispatcher thread.
-  SampleResult inline_single(std::uint64_t stream);
-  BatchResult inline_batch(std::uint64_t stream, std::size_t max_batch);
+  BatchResult inline_request(std::uint64_t stream, std::size_t max_batch);
+  /// Writes one served request (status + models, the finish_request_
+  /// from_cell shape) into slot k and marks it served — the one slot
+  /// writer of every backend.
+  static void fill_slot(Job& job, std::size_t k, BatchResult r);
   void account(SampleResult::Status status);
-  /// Shared tail of the anytime calls: stamps honest statuses onto the
-  /// slots the fan-out never served and derives the call-level verdict.
+  /// Stamps honest statuses onto the slots the fan-out never served and
+  /// derives the call-level verdict.
   RequestStatus finish_job(const Budget& budget, Job& job);
 
   Cnf cnf_;

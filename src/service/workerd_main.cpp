@@ -301,18 +301,13 @@ int worker_main(int fd) {
       task_budget.max_bsat_calls = task.max_bsat_calls;
       task_budget.conflicts_per_call = task.conflicts_per_call;
       if (setup.kind == ipc::TaskKind::kCount) {
+        // The fleet always cold-starts: outcome-neutral, and it keeps each
+        // iteration's probe count a pure function of its stream.
         count_options.budget = task_budget;
-        const ApproxMcCoreOutcome o = approxmc_core_iteration(
-            *engine, setup.n, setup.pivot, count_options, task.start_m, rng,
-            /*fault_key=*/task.task_id);
-        result.ok = o.ok ? 1 : 0;
-        result.timed_out = o.timed_out ? 1 : 0;
-        result.cancelled = o.cancelled ? 1 : 0;
-        result.faulted = o.faulted ? 1 : 0;
-        result.leapfrogged = o.leapfrogged ? 1 : 0;
-        result.cell_count = o.cell_count;
-        result.hash_count = o.hash_count;
-        result.bsat_calls = o.bsat_calls;
+        ipc::pack_count(result, approxmc_core_iteration(
+                                    *engine, setup.n, setup.pivot,
+                                    count_options, /*start_m=*/0, rng,
+                                    /*fault_key=*/task.task_id));
       } else {
         ug_options.budget = task_budget;
         const std::uint64_t before_calls = scratch_stats.sample_bsat_calls;
@@ -321,20 +316,15 @@ int worker_main(int fd) {
             *engine, setup.sampling_set, prep, ug_options,
             static_cast<Var>(setup.formula_vars), rng, scratch_stats,
             /*fault_key=*/task.task_id);
-        result.sample_bsat_calls =
-            scratch_stats.sample_bsat_calls - before_calls;
-        result.timeout_retries =
+        BatchResult b = finish_request_from_cell(
+            std::move(r), static_cast<std::size_t>(task.max_batch), rng);
+        ipc::SampleSlot slot;
+        slot.status = b.status;
+        slot.models = std::move(b.models);
+        slot.sample_bsat_calls = scratch_stats.sample_bsat_calls - before_calls;
+        slot.timeout_retries =
             scratch_stats.bsat_timeout_retries - before_retries;
-        if (task.max_batch == 0) {
-          SampleResult s = finish_single_from_cell(std::move(r), rng);
-          result.sample_status = static_cast<std::uint8_t>(s.status);
-          if (s.ok()) result.models.push_back(std::move(s.witness));
-        } else {
-          BatchResult b = finish_batch_from_cell(
-              std::move(r), static_cast<std::size_t>(task.max_batch), rng);
-          result.sample_status = static_cast<std::uint8_t>(b.status);
-          result.models = std::move(b.models);
-        }
+        ipc::pack_sample(result, std::move(slot));
       }
     } catch (const std::exception& e) {
       writer.send(ipc::FrameType::kError, ipc::encode_error(e.what()));
@@ -343,19 +333,9 @@ int worker_main(int fd) {
     if (tracing) {
       // task_span closed at the end of the try block above; everything this
       // attempt recorded is now drained into the Result frame.
-      for (const obs::TraceEvent& e : obs::snapshot_events()) {
-        ipc::SpanWire s;
-        s.name = e.name;
-        s.span_id = e.span_id;
-        s.parent_id = e.parent_id;
-        s.start_ns = e.start_ns;
-        s.end_ns = e.end_ns;
-        s.value = e.value;
-        s.worker = e.worker != 0 ? e.worker
-                                 : static_cast<std::uint32_t>(::getpid());
-        s.attempt = e.attempt != 0 ? e.attempt : task.attempt + 1;
-        result.spans.push_back(std::move(s));
-      }
+      ipc::pack_spans(result, obs::snapshot_events(),
+                      static_cast<std::uint32_t>(::getpid()),
+                      task.attempt + 1);
       obs::clear_all();
     }
     if (!writer.send(ipc::FrameType::kResult, ipc::encode_result(result)))

@@ -15,6 +15,7 @@
 #include "cnf/cnf.hpp"
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
+#include "expect_anytime.hpp"
 #include "fault_inject.hpp"
 #include "helpers.hpp"
 #include "sat/incremental_bsat.hpp"
@@ -35,32 +36,6 @@ ApproxMcOptions det_options(std::uint64_t units, std::size_t threads) {
   return opts;
 }
 
-/// Byte-level equality of two anytime results, including the resume state's
-/// per-iteration ledger.
-void expect_identical(const ApproxMcAnytime& a, const ApproxMcAnytime& b) {
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.iterations_completed, b.iterations_completed);
-  EXPECT_EQ(a.achieved_delta, b.achieved_delta);
-  EXPECT_EQ(a.result.valid, b.result.valid);
-  EXPECT_EQ(a.result.cell_count, b.result.cell_count);
-  EXPECT_EQ(a.result.hash_count, b.result.hash_count);
-  EXPECT_EQ(a.result.bsat_calls, b.result.bsat_calls);
-  EXPECT_EQ(a.result.iterations_succeeded, b.result.iterations_succeeded);
-  ASSERT_EQ(a.state.outcomes.size(), b.state.outcomes.size());
-  ASSERT_EQ(a.state.settled.size(), b.state.settled.size());
-  for (std::size_t i = 0; i < a.state.outcomes.size(); ++i) {
-    EXPECT_EQ(a.state.settled[i], b.state.settled[i]) << "slot " << i;
-    const ApproxMcCoreOutcome& x = a.state.outcomes[i];
-    const ApproxMcCoreOutcome& y = b.state.outcomes[i];
-    EXPECT_EQ(x.ok, y.ok) << "slot " << i;
-    EXPECT_EQ(x.timed_out, y.timed_out) << "slot " << i;
-    EXPECT_EQ(x.faulted, y.faulted) << "slot " << i;
-    EXPECT_EQ(x.cell_count, y.cell_count) << "slot " << i;
-    EXPECT_EQ(x.hash_count, y.hash_count) << "slot " << i;
-    EXPECT_EQ(x.bsat_calls, y.bsat_calls) << "slot " << i;
-  }
-}
-
 TEST(AnytimeCount, UnlimitedDeterministicRunCompletes) {
   const Cnf cnf = hashed_instance();
   Rng rng(101);
@@ -74,7 +49,7 @@ TEST(AnytimeCount, UnlimitedDeterministicRunCompletes) {
   // at every thread count.
   for (const std::size_t threads : {2u, 4u}) {
     Rng rng2(101);
-    expect_identical(
+    test::expect_identical(
         full, approx_count_anytime(cnf, det_options(100000, threads), rng2));
   }
 }
@@ -129,7 +104,7 @@ TEST_P(AnytimeCutResume, ResumeEqualsUninterrupted) {
     more.max_bsat_calls = total - first;
     const ApproxMcAnytime resumed =
         approx_count_resume(cnf, cut.state, more);
-    expect_identical(full, resumed);
+    test::expect_identical(full, resumed);
   }
 }
 
@@ -145,7 +120,7 @@ TEST(AnytimeCount, ResumeOfConcludedRunIsIdempotent) {
   Budget more;
   more.max_bsat_calls = 50;
   const ApproxMcAnytime again = approx_count_resume(cnf, full.state, more);
-  expect_identical(full, again);
+  test::expect_identical(full, again);
 }
 
 TEST(AnytimeCount, ExactPrologueReplaysThroughResume) {
@@ -207,7 +182,7 @@ TEST(AnytimeCount, FaultPlanIsScheduleIndependent) {
     popts.num_threads = threads;
     popts.budget.fault = &plan;
     Rng rng(555);
-    expect_identical(serial, approx_count_anytime(cnf, popts, rng));
+    test::expect_identical(serial, approx_count_anytime(cnf, popts, rng));
     EXPECT_EQ(plan.fired(), plan1.fired());
   }
 }
@@ -253,7 +228,7 @@ TEST(AnytimeCount, CancelMidRunResumesToTheUninterruptedResult) {
   Budget more;
   more.fault = &trip;
   const ApproxMcAnytime resumed = approx_count_resume(cnf, cut.state, more);
-  expect_identical(full, resumed);
+  test::expect_identical(full, resumed);
 }
 
 // --- sampling side ----------------------------------------------------

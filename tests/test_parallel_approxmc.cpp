@@ -121,6 +121,35 @@ TEST(ParallelApproxMc, LeapfrogAccounting) {
   EXPECT_LE(parallel.leapfrog_cold_starts, parallel.threads_used);
 }
 
+TEST(ParallelApproxMc, ResumedIterationsStartWarmFromSettledOnes) {
+  // Width 1, wall mode: a resume publishes the settled iterations' m to the
+  // leapfrog hint before it runs anything, so the re-run slots start warm
+  // and the only cold start stays the original run's first iteration.
+  const Cnf cnf = hashed_count_formula();
+  ApproxMcOptions opts;
+  opts.num_threads = 1;
+  Rng rng(23);
+  const ApproxMcAnytime full = approx_count_anytime(cnf, opts, rng);
+  ASSERT_EQ(full.status, RequestStatus::kComplete);
+  ASSERT_EQ(full.result.leapfrog_cold_starts, 1u);
+  constexpr std::size_t kCleared = 2;
+  ApproxMcAnytimeState state = full.state;
+  ASSERT_GT(state.outcomes.size(), kCleared);
+  for (std::size_t i = state.outcomes.size() - kCleared;
+       i < state.outcomes.size(); ++i) {
+    state.settled[i] = 0;
+    state.outcomes[i] = ApproxMcCoreOutcome{};
+  }
+  const ApproxMcAnytime resumed = approx_count_resume(cnf, state, Budget{});
+  ASSERT_EQ(resumed.status, RequestStatus::kComplete);
+  EXPECT_EQ(resumed.result.leapfrog_warm_starts +
+                resumed.result.leapfrog_cold_starts,
+            static_cast<std::uint64_t>(resumed.result.iterations_requested));
+  EXPECT_EQ(resumed.result.leapfrog_cold_starts, 1u);
+  EXPECT_EQ(resumed.result.cell_count, full.result.cell_count);
+  EXPECT_EQ(resumed.result.hash_count, full.result.hash_count);
+}
+
 TEST(ParallelApproxMc, ExactShortCircuitStaysSerial) {
   // Fewer than pivot models: the exact prologue answers before any fan-out,
   // whatever num_threads says.

@@ -17,6 +17,7 @@
 
 #include "core/unigen.hpp"
 #include "counting/approxmc.hpp"
+#include "expect_anytime.hpp"
 #include "helpers.hpp"
 #include "service/process_fleet.hpp"
 #include "service/sampler_pool.hpp"
@@ -104,6 +105,60 @@ TEST(ProcessFleet, CountSurvivesWorkerKillMidIteration) {
   ASSERT_TRUE(got.valid);
   EXPECT_EQ(got.cell_count, reference.cell_count);
   EXPECT_EQ(got.hash_count, reference.hash_count);
+}
+
+TEST(ProcessFleet, CountCutAndResumedOnFleetMatchesUninterruptedRun) {
+  // Deterministic grant: a fleet count cut at half the units, then resumed
+  // (on the fleet again — the resume state keeps the backend) with the
+  // rest, equals the uninterrupted in-process run byte for byte.
+  const Cnf cnf = hashed_mode_formula();
+  ApproxMcOptions ref;
+  ref.budget.max_bsat_calls = 100000;
+  Rng ref_rng(2024);
+  const ApproxMcAnytime full = approx_count_anytime(cnf, ref, ref_rng);
+  ASSERT_EQ(full.status, RequestStatus::kComplete);
+  const std::uint64_t total = full.result.bsat_calls;
+  ASSERT_GT(total, 3u);
+
+  ApproxMcOptions o;
+  o.fleet.backend = ExecBackend::kProcessFleet;
+  o.fleet.num_workers = 2;
+  o.budget.max_bsat_calls = total / 2;
+  Rng rng(2024);
+  const ApproxMcAnytime cut = approx_count_anytime(cnf, o, rng);
+  ASSERT_NE(cut.status, RequestStatus::kComplete);
+  // The fleet served the iterations: no in-process pool ran.
+  EXPECT_TRUE(cut.result.workers.empty());
+  Budget more;
+  more.max_bsat_calls = total - total / 2;
+  const ApproxMcAnytime resumed = approx_count_resume(cnf, cut.state, more);
+  EXPECT_TRUE(resumed.result.workers.empty());
+  test::expect_identical(full, resumed);
+}
+
+std::uint64_t summed_sample_bsat_calls(const SamplerPoolStats& st) {
+  std::uint64_t sum = 0;
+  for (const SamplerPoolWorkerStats& w : st.workers)
+    sum += w.sample_bsat_calls;
+  return sum;
+}
+
+TEST(ProcessFleet, SampleCountersMatchInProcessPool) {
+  // The workers' accept-cell counters travel back in every Result and fold
+  // into stats(): same seed, same requests, same totals on both backends.
+  const Cnf cnf = hashed_mode_formula();
+  constexpr std::uint64_t kSeed = 919;
+  SamplerPool inproc(cnf, inproc_pool_options(2, kSeed));
+  inproc.sample_many(12);
+  inproc.sample_batches(4, 5);
+  SamplerPool fleet(cnf, fleet_pool_options(2, kSeed));
+  ASSERT_TRUE(fleet.prepare());
+  ASSERT_NE(fleet.fleet(), nullptr);
+  fleet.sample_many(12);
+  fleet.sample_batches(4, 5);
+  const std::uint64_t expected = summed_sample_bsat_calls(inproc.stats());
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(summed_sample_bsat_calls(fleet.stats()), expected);
 }
 
 TEST(ProcessFleet, SampleStreamsMatchInProcessPool) {

@@ -1,6 +1,6 @@
 // Exports the generated benchmark suite as DIMACS files (with `c ind`
 // sampling-set lines and native `x` XOR clauses), so the instances can be
-// fed to external tools — or back into `dimacs_sampler`.
+// fed to external tools — or back into `unigen sample`.
 //
 //   usage: export_suite [output_dir=./suite_cnf] [scale=0.1]
 
@@ -42,6 +42,6 @@ int main(int argc, char** argv) {
               fig1.witness_count.to_string().c_str());
 
   std::printf("\nexported %zu instances; sample one with:\n"
-              "  ./dimacs_sampler %s 5\n", exported + 1, path.c_str());
+              "  ./unigen sample --samples 5 %s\n", exported + 1, path.c_str());
   return 0;
 }

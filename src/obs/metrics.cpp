@@ -157,12 +157,4 @@ MetricsRegistry& metrics() {
 
 std::string metrics_json() { return metrics().snapshot().to_json(); }
 
-bool write_metrics_json(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = metrics_json();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace unigen::obs

@@ -149,8 +149,7 @@ class MetricsRegistry {
 /// The process-wide registry every instrumentation site records into.
 MetricsRegistry& metrics();
 
-/// Global snapshot → versioned JSON / file.
+/// Global snapshot → versioned JSON.
 std::string metrics_json();
-bool write_metrics_json(const std::string& path);
 
 }  // namespace unigen::obs

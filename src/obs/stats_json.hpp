@@ -1,116 +1,30 @@
 #pragma once
-// Stats-struct JSON serialization — one canonical, round-trippable encoding
-// for every result/stats struct the services expose, replacing the ad-hoc
-// per-CLI printf schemas.
+// Stats-struct JSON serialization: the encoding of the stats structs in
+// `unigen --stats-json` documents.
 //
-// Two layers:
-//
-//   * `JsonValue` — a minimal JSON document model with an exact-integer
-//     number representation (uint64/int64 survive a round trip; doubles
-//     print with %.17g) plus a strict recursive-descent parser.  It exists
-//     so the unit tests can assert serialize → parse → equal field-wise,
-//     not to be a general JSON library.
-//   * `to_json(...)` / `from_json(...)` overloads per stats struct, both
-//     driven by a single `visit_fields` field list per struct — the writer
-//     and the reader cannot drift apart, which is what makes the
-//     round-trip tests meaningful.
-//
-// Enum names round-trip through to_string / *_from_string (RequestStatus's
-// to_string lives in service/budget.hpp; SampleResult::Status's here).
+// Each `to_json` overload walks a single `visit_fields` list per struct
+// (stats_json.cpp), the one place that names a struct's fields.  Stats
+// structs hold only numbers and bools under fixed identifier names, so the
+// writer emits compact JSON text directly, with no value tree and no
+// string escaping: integers exactly (%lld/%llu), doubles with %.17g, bools
+// as true/false, and the nested structs (UniGenStats::simplify,
+// SamplerPoolStats::prepare/workers) as nested objects/arrays.
 
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/sampler.hpp"
 #include "core/unigen.hpp"
-#include "service/budget.hpp"
-#include "service/process_fleet.hpp"
 #include "service/sampler_pool.hpp"
 #include "service/session_registry.hpp"
 
 namespace unigen::obs {
 
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  JsonValue() = default;
-  static JsonValue object();
-  static JsonValue array();
-  static JsonValue of_bool(bool b);
-  static JsonValue of_double(double d);
-  static JsonValue of_int(std::int64_t i);
-  static JsonValue of_uint(std::uint64_t u);
-  static JsonValue of_string(std::string s);
-
-  Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-
-  /// Object field access; null when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
-  /// Appends/overwrites an object field (insertion order preserved).
-  void set(std::string key, JsonValue v);
-
-  void push_back(JsonValue v);
-  const std::vector<JsonValue>& items() const { return arr_; }
-
-  // Coercing scalar reads (number kinds convert into each other; anything
-  // else throws std::runtime_error).
-  bool as_bool() const;
-  double as_double() const;
-  std::int64_t as_int() const;
-  std::uint64_t as_uint() const;
-  const std::string& as_string() const;
-
-  /// Compact JSON text.
-  std::string dump() const;
-  /// Strict parse of a complete document; throws std::runtime_error with a
-  /// byte offset on malformed input.
-  static JsonValue parse(std::string_view text);
-
- private:
-  enum class NumKind { kDouble, kInt, kUint };
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  NumKind num_kind_ = NumKind::kDouble;
-  double dbl_ = 0.0;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  std::string str_;
-  std::vector<JsonValue> arr_;
-  std::vector<std::pair<std::string, JsonValue>> obj_;
-};
-
-// --- per-struct serializers --------------------------------------------
-
-JsonValue to_json(const SolverStats& s);
-JsonValue to_json(const SimplifyStats& s);
-JsonValue to_json(const UniGenStats& s);
-JsonValue to_json(const SamplerPoolWorkerStats& s);
-JsonValue to_json(const SamplerPoolStats& s);
-JsonValue to_json(const SessionRegistryStats& s);
-JsonValue to_json(const FleetStats& s);
-
-/// Each returns false when a field is missing or has the wrong shape (the
-/// present fields before the failure point may already be assigned).
-bool from_json(const JsonValue& v, SolverStats& out);
-bool from_json(const JsonValue& v, SimplifyStats& out);
-bool from_json(const JsonValue& v, UniGenStats& out);
-bool from_json(const JsonValue& v, SamplerPoolWorkerStats& out);
-bool from_json(const JsonValue& v, SamplerPoolStats& out);
-bool from_json(const JsonValue& v, SessionRegistryStats& out);
-bool from_json(const JsonValue& v, FleetStats& out);
-
-// --- enum name round-trips ---------------------------------------------
-
-/// Inverse of service/budget.hpp's to_string(RequestStatus).
-bool request_status_from_string(std::string_view name, RequestStatus& out);
+std::string to_json(const SimplifyStats& s);
+std::string to_json(const UniGenStats& s);
+std::string to_json(const SamplerPoolWorkerStats& s);
+std::string to_json(const SamplerPoolStats& s);
+std::string to_json(const SessionRegistryStats& s);
 
 const char* to_string(SampleResult::Status s);
-bool sample_status_from_string(std::string_view name,
-                               SampleResult::Status& out);
 
 }  // namespace unigen::obs

@@ -319,12 +319,4 @@ std::string trace_jsonl() {
   return out;
 }
 
-bool write_trace_jsonl(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = trace_jsonl();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace unigen::obs

@@ -206,6 +206,5 @@ std::uint64_t dropped_events();
 /// JSONL export: one header line ({"schema":"unigen.trace.v1",…}) then one
 /// line per event.  Does not clear.
 std::string trace_jsonl();
-bool write_trace_jsonl(const std::string& path);
 
 }  // namespace unigen::obs

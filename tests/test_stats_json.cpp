@@ -1,9 +1,10 @@
-// Round-trip coverage of the canonical stats-struct JSON layer
-// (src/obs/stats_json.*): every struct serializes, parses back, and
-// re-serializes to the identical document; exact integers and %.17g
-// doubles survive; enum names invert through *_from_string.  The writer
-// and reader are driven by one visit_fields list per struct, so these
-// tests are what catches a field added to one side only.
+// Byte-exact coverage of the stats-struct JSON writer (src/obs/stats_json.*).
+// Every field of each struct is set to a distinct value and the output is
+// compared with a golden string.  The goldens were recorded from the
+// previous, document-model writer, so they also pin the encoding the CLIs'
+// --stats-json files have always had: exact integers up to UINT64_MAX and
+// INT_MIN, %.17g doubles, true/false, and the nested simplify, prepare and
+// workers members.
 
 #include <gtest/gtest.h>
 
@@ -16,198 +17,179 @@
 namespace unigen {
 namespace {
 
-using obs::JsonValue;
-
-/// serialize → parse → deserialize → re-serialize must reproduce the
-/// exact document.
-template <class S>
-void expect_round_trip(const S& s) {
-  const JsonValue j = obs::to_json(s);
-  const std::string text = j.dump();
-  const JsonValue parsed = JsonValue::parse(text);
-  S recovered;
-  ASSERT_TRUE(obs::from_json(parsed, recovered)) << text;
-  EXPECT_EQ(obs::to_json(recovered).dump(), text);
-}
-
-TEST(JsonValue, ExactIntegersSurviveARoundTrip) {
-  const std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
-  JsonValue v = JsonValue::object();
-  v.set("u", JsonValue::of_uint(big));
-  v.set("i", JsonValue::of_int(std::numeric_limits<std::int64_t>::min()));
-  const std::string text = v.dump();
-  EXPECT_NE(text.find("18446744073709551615"), std::string::npos);
-  EXPECT_NE(text.find("-9223372036854775808"), std::string::npos);
-  const JsonValue back = JsonValue::parse(text);
-  EXPECT_EQ(back.find("u")->as_uint(), big);
-  EXPECT_EQ(back.find("i")->as_int(),
-            std::numeric_limits<std::int64_t>::min());
-}
-
-TEST(JsonValue, DoublesKeepFullPrecision) {
-  const double pi = 3.141592653589793;
-  JsonValue v = JsonValue::object();
-  v.set("d", JsonValue::of_double(pi));
-  const JsonValue back = JsonValue::parse(v.dump());
-  EXPECT_EQ(back.find("d")->as_double(), pi);
-}
-
-TEST(JsonValue, StringEscapesRoundTrip) {
-  const std::string nasty = "line\nquote\"back\\slash\ttab";
-  JsonValue v = JsonValue::object();
-  v.set("s", JsonValue::of_string(nasty));
-  const JsonValue back = JsonValue::parse(v.dump());
-  EXPECT_EQ(back.find("s")->as_string(), nasty);
-}
-
-TEST(JsonValue, StrictParserRejectsMalformedInput) {
-  EXPECT_THROW(JsonValue::parse("{\"a\":1,}"), std::runtime_error);
-  EXPECT_THROW(JsonValue::parse("{\"a\":1} x"), std::runtime_error);
-  EXPECT_THROW(JsonValue::parse("[1, tru]"), std::runtime_error);
-  EXPECT_THROW(JsonValue::parse("\"open"), std::runtime_error);
-  EXPECT_THROW(JsonValue::parse(""), std::runtime_error);
-}
-
-TEST(StatsJson, SolverStatsRoundTrips) {
-  SolverStats s;
-  s.decisions = 11;
-  s.propagations = 22;
-  s.xor_propagations = 33;
-  s.conflicts = 44;
-  s.restarts = 5;
-  s.learnt_clauses = 66;
-  s.removed_clauses = 7;
-  s.minimized_literals = 88;
-  s.gauss_units = 9;
-  s.gauss_rows = 10;
-  s.solver_rebuilds = 2;
-  s.reused_solves = 123;
-  s.retracted_blocks = 4;
-  expect_round_trip(s);
-}
-
-TEST(StatsJson, SimplifyStatsRoundTrips) {
+/// Every field set to a distinct value, so a field written under the wrong
+/// name, in the wrong order or with the wrong format changes the bytes.
+SimplifyStats simplify_stats() {
   SimplifyStats s;
   s.ran = true;
+  s.unsat = false;
   s.rounds = 3;
-  s.original_clauses = 100;
-  s.result_clauses = 60;
-  s.units_fixed = 5;
-  s.eliminated_vars = 7;
-  s.seconds = 0.125;
-  expect_round_trip(s);
+  s.original_clauses = 101;
+  s.original_literals = 102;
+  s.result_clauses = 103;
+  s.result_literals = 104;
+  s.units_fixed = 105;
+  s.tautologies_removed = 106;
+  s.pure_literals_fixed = 107;
+  s.subsumed_clauses = 108;
+  s.strengthened_literals = 109;
+  s.eliminated_vars = 110;
+  s.seconds = 0.1;  // needs all 17 significant digits
+  return s;
 }
 
-TEST(StatsJson, UniGenStatsRoundTripsWithNestedSimplify) {
+UniGenStats unigen_stats() {
   UniGenStats s;
-  s.kappa = 0.4979;
-  s.pivot = 89.0;
-  s.q = 7;
-  s.samples_requested = 100;
-  s.samples_ok = 97;
-  s.sample_bsat_calls = 412;
-  s.sample_seconds = 1.5;
-  s.total_xor_rows = 300;
-  s.simplify.ran = true;
-  s.simplify.rounds = 2;
-  s.simplify.seconds = 0.01;
-  expect_round_trip(s);
-
-  // The nested struct really is nested (not flattened).
-  const JsonValue j = obs::to_json(s);
-  ASSERT_NE(j.find("simplify"), nullptr);
-  EXPECT_EQ(j.find("simplify")->find("rounds")->as_int(), 2);
+  s.kappa = 1.0 / 3.0;
+  s.pivot = std::numeric_limits<std::uint64_t>::max();
+  s.hi_thresh = 202;
+  s.lo_thresh = 18.25;
+  s.approx_log2_count = -2.5;
+  s.q = std::numeric_limits<int>::min();
+  s.prepare_seconds = 2.5e-7;
+  s.prepare_bsat_calls = 203;
+  s.trivial = true;
+  s.samples_requested = 204;
+  s.samples_ok = 205;
+  s.samples_failed = 206;
+  s.samples_timed_out = 207;
+  s.samples_cancelled = 208;
+  s.sample_bsat_calls = 209;
+  s.bsat_timeout_retries = 210;
+  s.sample_seconds = 1e300;
+  s.solver_rebuilds = 211;
+  s.reused_solves = 212;
+  s.retracted_blocks = 213;
+  s.solver_propagations = 214;
+  s.counter_solver_rebuilds = 215;
+  s.simplify = simplify_stats();
+  s.total_xor_row_length = 0.0;
+  s.total_xor_rows = 216;
+  return s;
 }
 
-TEST(StatsJson, SamplerPoolStatsRoundTripsWithWorkers) {
+SamplerPoolWorkerStats worker_stats(std::uint64_t base) {
+  SamplerPoolWorkerStats s;
+  s.requests_served = base + 1;
+  s.solver_rebuilds = base + 2;
+  s.reused_solves = base + 3;
+  s.sample_bsat_calls = base + 4;
+  s.bsat_timeout_retries = base + 5;
+  s.total_xor_rows = base + 6;
+  s.total_xor_row_length = static_cast<double>(base) + 0.5;
+  return s;
+}
+
+SamplerPoolStats pool_stats() {
   SamplerPoolStats s;
-  s.requests = 40;
-  s.samples_ok = 39;
-  s.samples_timed_out = 1;
+  s.prepare = unigen_stats();
+  s.requests = 401;
+  s.samples_ok = 402;
+  s.samples_failed = 403;
+  s.samples_timed_out = 404;
+  s.samples_cancelled = 405;
   s.service_seconds = 2.25;
-  s.prepare.q = 5;
-  s.prepare.samples_requested = 0;
-  SamplerPoolWorkerStats w0;
-  w0.requests_served = 20;
-  w0.sample_bsat_calls = 77;
-  SamplerPoolWorkerStats w1;
-  w1.requests_served = 19;
-  w1.solver_rebuilds = 1;
-  s.workers = {w0, w1};
-  expect_round_trip(s);
-
-  const JsonValue j = obs::to_json(s);
-  ASSERT_NE(j.find("workers"), nullptr);
-  ASSERT_EQ(j.find("workers")->items().size(), 2u);
-  EXPECT_EQ(j.find("workers")->items()[0].find("requests_served")->as_uint(),
-            20u);
+  s.workers = {worker_stats(300), worker_stats(310)};
+  return s;
 }
 
-TEST(StatsJson, SessionRegistryStatsRoundTrips) {
+SessionRegistryStats registry_stats() {
   SessionRegistryStats s;
-  s.requests = 12;
-  s.hits = 9;
-  s.misses = 3;
-  s.evictions = 1;
-  s.prepare_failures = 0;
-  s.sessions = 2;
-  s.resident_bytes = 1 << 20;
-  expect_round_trip(s);
+  s.requests = 501;
+  s.hits = 502;
+  s.misses = 503;
+  s.evictions = 504;
+  s.prepare_failures = 505;
+  s.sessions = 506;
+  s.resident_bytes = std::numeric_limits<std::size_t>::max();
+  return s;
 }
 
-TEST(StatsJson, FleetStatsRoundTrips) {
-  FleetStats s;
-  s.spawns = 4;
-  s.crashes = 2;
-  s.hang_kills = 1;
-  s.respawns = 3;
-  s.redispatches = 2;
-  s.poisoned_tasks = 0;
-  s.total_recovery_seconds = 0.05;
-  s.max_recovery_seconds = 0.03;
-  expect_round_trip(s);
+const std::string kSimplifyJson =
+    R"({"ran":true,"unsat":false,"rounds":3,"original_clauses":101,)"
+    R"("original_literals":102,"result_clauses":103,)"
+    R"("result_literals":104,"units_fixed":105,)"
+    R"("tautologies_removed":106,"pure_literals_fixed":107,)"
+    R"("subsumed_clauses":108,"strengthened_literals":109,)"
+    R"("eliminated_vars":110,"seconds":0.10000000000000001})";
+
+const std::string kUniGenJson =
+    R"({"kappa":0.33333333333333331,"pivot":18446744073709551615,)"
+    R"("hi_thresh":202,"lo_thresh":18.25,"approx_log2_count":-2.5,)"
+    R"("q":-2147483648,"prepare_seconds":2.4999999999999999e-07,)"
+    R"("prepare_bsat_calls":203,"trivial":true,)"
+    R"("samples_requested":204,"samples_ok":205,)"
+    R"("samples_failed":206,"samples_timed_out":207,)"
+    R"("samples_cancelled":208,"sample_bsat_calls":209,)"
+    R"("bsat_timeout_retries":210,)"
+    R"("sample_seconds":1.0000000000000001e+300,)"
+    R"("solver_rebuilds":211,"reused_solves":212,)"
+    R"("retracted_blocks":213,"solver_propagations":214,)"
+    R"("counter_solver_rebuilds":215,"total_xor_row_length":0,)"
+    R"("total_xor_rows":216)"
+    R"(,"simplify":)" + kSimplifyJson + "}";
+
+const std::string kWorker300Json =
+    R"({"requests_served":301,"solver_rebuilds":302,)"
+    R"("reused_solves":303,"sample_bsat_calls":304,)"
+    R"("bsat_timeout_retries":305,"total_xor_rows":306,)"
+    R"("total_xor_row_length":300.5})";
+
+const std::string kWorker310Json =
+    R"({"requests_served":311,"solver_rebuilds":312,)"
+    R"("reused_solves":313,"sample_bsat_calls":314,)"
+    R"("bsat_timeout_retries":315,"total_xor_rows":316,)"
+    R"("total_xor_row_length":310.5})";
+
+TEST(StatsJson, SimplifyStatsBytes) {
+  EXPECT_EQ(obs::to_json(simplify_stats()), kSimplifyJson);
 }
 
-TEST(StatsJson, FromJsonRejectsMissingFieldsAndWrongShapes) {
-  SolverStats s;
-  EXPECT_FALSE(obs::from_json(JsonValue::parse("{}"), s));
-  EXPECT_FALSE(obs::from_json(JsonValue::parse("[1,2]"), s));
-  EXPECT_FALSE(obs::from_json(JsonValue::parse("{\"decisions\":true}"), s));
-  // A UniGenStats document without the nested simplify object fails too.
-  UniGenStats u;
-  JsonValue flat = obs::to_json(u);
-  std::string text = flat.dump();
-  const auto pos = text.find(",\"simplify\"");
-  ASSERT_NE(pos, std::string::npos);
-  text.erase(pos, text.size() - pos - 1);  // drop the trailing object
-  UniGenStats u2;
-  EXPECT_FALSE(obs::from_json(JsonValue::parse(text), u2));
+TEST(StatsJson, UniGenStatsBytesNestSimplify) {
+  EXPECT_EQ(obs::to_json(unigen_stats()), kUniGenJson);
 }
 
-TEST(StatsJson, EnumNamesRoundTrip) {
-  for (const RequestStatus s :
-       {RequestStatus::kComplete, RequestStatus::kPartial,
-        RequestStatus::kFailed, RequestStatus::kTimedOut,
-        RequestStatus::kCancelled}) {
-    RequestStatus back = RequestStatus::kComplete;
-    ASSERT_TRUE(obs::request_status_from_string(to_string(s), back))
-        << to_string(s);
-    EXPECT_EQ(back, s);
-  }
-  RequestStatus sink = RequestStatus::kComplete;
-  EXPECT_FALSE(obs::request_status_from_string("bogus", sink));
+TEST(StatsJson, SamplerPoolWorkerStatsBytes) {
+  EXPECT_EQ(obs::to_json(worker_stats(300)), kWorker300Json);
+}
 
-  for (const SampleResult::Status s :
-       {SampleResult::Status::kOk, SampleResult::Status::kFail,
-        SampleResult::Status::kTimeout, SampleResult::Status::kUnsat,
-        SampleResult::Status::kCancelled}) {
-    SampleResult::Status back = SampleResult::Status::kOk;
-    ASSERT_TRUE(obs::sample_status_from_string(obs::to_string(s), back))
-        << obs::to_string(s);
-    EXPECT_EQ(back, s);
-  }
-  SampleResult::Status ssink = SampleResult::Status::kOk;
-  EXPECT_FALSE(obs::sample_status_from_string("bogus", ssink));
+TEST(StatsJson, SamplerPoolStatsBytesNestPrepareAndWorkers) {
+  const std::string golden =
+      R"({"requests":401,"samples_ok":402,"samples_failed":403,)"
+      R"("samples_timed_out":404,"samples_cancelled":405,)"
+      R"("service_seconds":2.25)"
+      R"(,"prepare":)" + kUniGenJson + R"(,"workers":[)" + kWorker300Json +
+      "," + kWorker310Json + "]}";
+  EXPECT_EQ(obs::to_json(pool_stats()), golden);
+}
+
+TEST(StatsJson, DefaultSamplerPoolStatsBytes) {
+  const std::string golden =
+      R"({"requests":0,"samples_ok":0,"samples_failed":0,)"
+      R"("samples_timed_out":0,"samples_cancelled":0,)"
+      R"("service_seconds":0,"prepare":{"kappa":0,"pivot":0,)"
+      R"("hi_thresh":0,"lo_thresh":0,"approx_log2_count":0,"q":0,)"
+      R"("prepare_seconds":0,"prepare_bsat_calls":0,"trivial":false,)"
+      R"("samples_requested":0,"samples_ok":0,"samples_failed":0,)"
+      R"("samples_timed_out":0,"samples_cancelled":0,)"
+      R"("sample_bsat_calls":0,"bsat_timeout_retries":0,)"
+      R"("sample_seconds":0,"solver_rebuilds":0,"reused_solves":0,)"
+      R"("retracted_blocks":0,"solver_propagations":0,)"
+      R"("counter_solver_rebuilds":0,"total_xor_row_length":0,)"
+      R"("total_xor_rows":0,"simplify":{"ran":false,"unsat":false,)"
+      R"("rounds":0,"original_clauses":0,"original_literals":0,)"
+      R"("result_clauses":0,"result_literals":0,"units_fixed":0,)"
+      R"("tautologies_removed":0,"pure_literals_fixed":0,)"
+      R"("subsumed_clauses":0,"strengthened_literals":0,)"
+      R"("eliminated_vars":0,"seconds":0}},"workers":[]})";
+  EXPECT_EQ(obs::to_json(SamplerPoolStats{}), golden);
+}
+
+TEST(StatsJson, SessionRegistryStatsBytes) {
+  EXPECT_EQ(obs::to_json(registry_stats()),
+            R"({"requests":501,"hits":502,"misses":503,"evictions":504,)"
+            R"("prepare_failures":505,"sessions":506,)"
+            R"("resident_bytes":18446744073709551615})");
 }
 
 TEST(StatsJson, StatusMappingHelperIsTotal) {

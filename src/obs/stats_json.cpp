@@ -148,20 +148,4 @@ std::string to_json(const SamplerPoolStats& s) {
   return out + "]}";
 }
 
-const char* to_string(SampleResult::Status s) {
-  switch (s) {
-    case SampleResult::Status::kOk:
-      return "ok";
-    case SampleResult::Status::kFail:
-      return "fail";
-    case SampleResult::Status::kTimeout:
-      return "timeout";
-    case SampleResult::Status::kUnsat:
-      return "unsat";
-    case SampleResult::Status::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
 }  // namespace unigen::obs

@@ -12,7 +12,6 @@
 
 #include <string>
 
-#include "core/sampler.hpp"
 #include "core/unigen.hpp"
 #include "service/sampler_pool.hpp"
 #include "service/session_registry.hpp"
@@ -24,7 +23,5 @@ std::string to_json(const UniGenStats& s);
 std::string to_json(const SamplerPoolWorkerStats& s);
 std::string to_json(const SamplerPoolStats& s);
 std::string to_json(const SessionRegistryStats& s);
-
-const char* to_string(SampleResult::Status s);
 
 }  // namespace unigen::obs

@@ -1,8 +1,34 @@
 #include "sat/enumerator.hpp"
 
+#include <algorithm>
+
 namespace unigen {
 
 namespace {
+
+/// Decision-literal blocking (Toda & Soh, JEA 2016).  Let L be the highest
+/// level of any projection variable under the model just found.  When
+/// every level in (num_assumptions, L] was opened by a decision on a
+/// projection variable, unit propagation from those decisions — under the
+/// assumptions, the formula and the cell's earlier blocks — set the rest of
+/// the projection, so negating them excludes exactly this S-projection.
+/// Appends those negated decisions to `out` and returns true; returns false
+/// (with `out` partly filled) when some level in that range is not such a
+/// decision.
+bool block_on_decisions(const Solver& solver, const Model& m,
+                        const std::vector<Var>& projection,
+                        int num_assumptions, std::vector<Lit>& out) {
+  int top = 0;
+  for (const Var v : projection) {
+    const int level = solver.level(v);
+    top = std::max(top, level);
+    if (level > num_assumptions && solver.assigned_by_decision(v))
+      out.push_back(Lit(v, m[static_cast<std::size_t>(v)] == lbool::True));
+  }
+  // One decision opens each level, so the count is the number of levels in
+  // (num_assumptions, top] whose decision is a projection variable.
+  return static_cast<int>(out.size()) == std::max(top - num_assumptions, 0);
+}
 
 /// The enumeration loop proper.  May leave the solver above level 0; the
 /// caller unwinds on every exit.
@@ -10,6 +36,12 @@ void run_search(Solver& solver, const EnumerateOptions& options,
                 const std::vector<Var>& projection, EnumerateResult& result) {
   std::vector<Lit> blocking;
   blocking.reserve(projection.size() + 1);
+  // A decision-only block is exact just under the assumptions it was found
+  // under, so it needs the activation literal that confines it to this
+  // call — unless there are no assumptions to depend on.
+  const bool decision_blocks =
+      options.block_activation.valid() || options.assumptions.empty();
+  const auto num_assumptions = static_cast<int>(options.assumptions.size());
   const auto cancelled = [&options] {
     return options.cancel != nullptr &&
            options.cancel->load(std::memory_order_acquire);
@@ -44,11 +76,17 @@ void run_search(Solver& solver, const EnumerateOptions& options,
     ++result.count;
     if (options.store_models) result.models.push_back(m);
 
-    // Block this S-projection: at least one sampling variable must differ.
+    // Block this S-projection: on its S decisions when they force the
+    // rest of S, otherwise on all of S (some sampling variable must differ).
     blocking.clear();
-    for (const Var v : projection) {
-      const lbool val = m[static_cast<std::size_t>(v)];
-      blocking.push_back(Lit(v, val == lbool::True));
+    if (!decision_blocks ||
+        !block_on_decisions(solver, m, projection, num_assumptions,
+                            blocking)) {
+      blocking.clear();
+      for (const Var v : projection) {
+        const lbool val = m[static_cast<std::size_t>(v)];
+        blocking.push_back(Lit(v, val == lbool::True));
+      }
     }
     if (options.block_activation.valid())
       blocking.push_back(options.block_activation);
@@ -57,6 +95,7 @@ void run_search(Solver& solver, const EnumerateOptions& options,
       return;
     }
     ++result.blocks_added;
+    result.block_literals += blocking.size();
   }
   // Hit max_models; the space may or may not be exhausted.
 }

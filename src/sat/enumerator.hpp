@@ -9,6 +9,16 @@
 // variables in the set S"); since S is an independent support, two witnesses
 // differ iff their S-projections differ, so nothing is lost.
 //
+// A model is blocked on its decision literals alone when that is exact
+// (Toda & Soh, "Implementing Efficient All Solutions SAT Solvers", ACM JEA
+// 2016): S is branched first, so when every level above the assumptions up
+// to the last projection variable was opened by a decision on S, those
+// decisions force the rest of the S-projection, and their negation — plus
+// `block_activation` — blocks exactly that projection.  Such a clause needs
+// the activation literal that confines it to this call, or no assumptions
+// at all; otherwise, and whenever a level in that range was opened by a
+// non-S decision, the model is blocked on all of S.
+//
 // One continuing search enumerates the whole cell.  Each model's blocking
 // clause is attached at the level the model was found; the solver then
 // backjumps to the clause's asserting level and resumes the same search
@@ -63,7 +73,8 @@ struct EnumerateOptions {
   /// whole cell's blocks can later be retracted by asserting it as a unit
   /// (IncrementalBsat does exactly that after counting the cell).  The
   /// caller must also assume its negation via `assumptions`, otherwise the
-  /// blocks are inert from the start.
+  /// blocks are inert from the start.  With assumptions, it is also what
+  /// lets a block shrink to the model's S decisions (see the file comment).
   Lit block_activation = kUndefLit;
 };
 
@@ -85,6 +96,10 @@ struct EnumerateResult {
   /// Number of blocking clauses actually added to the solver (<= count;
   /// the engine's retraction accounting uses this).
   std::uint64_t blocks_added = 0;
+  /// Total literal count of those blocking clauses, `block_activation`
+  /// included (a full S block has |S| + 1 literals; a decision-only block
+  /// has one per S decision, plus the activation literal).
+  std::uint64_t block_literals = 0;
 };
 
 /// Adds blocking clauses to `solver`, which must be at level 0 (every

@@ -35,6 +35,19 @@ void IncrementalBsat::rebuild() {
   if (solver_) accum_.merge(solver_->stats());
   solver_ = std::make_unique<Solver>();
   solver_->load(cnf_);
+  // A variable outside the projection that occurs in no clause or XOR
+  // (e.g. one the simplifier eliminated) constrains nothing: never branch
+  // on it.  Its model value stays its saved phase, as when it was decided.
+  std::vector<char> occurs(static_cast<std::size_t>(cnf_.num_vars()), 0);
+  for (const Var v : projection_) occurs[static_cast<std::size_t>(v)] = 1;
+  for (const auto& clause : cnf_.clauses())
+    for (const Lit l : clause) occurs[static_cast<std::size_t>(l.var())] = 1;
+  for (const auto& x : cnf_.xors())
+    for (const Var v : x.vars) occurs[static_cast<std::size_t>(v)] = 1;
+  for (Var v = 0; v < cnf_.num_vars(); ++v) {
+    if (!occurs[static_cast<std::size_t>(v)])
+      solver_->set_decision_var(v, false);
+  }
   ++accum_.solver_rebuilds;
   solves_on_build_ = 0;
   retired_rows_ = 0;
@@ -58,6 +71,9 @@ void IncrementalBsat::begin_hash() {
 }
 
 void IncrementalBsat::push_rows(const XorHash& h) {
+  // A row over a non-decision variable would leave it undecided.
+  for (const auto& row : h.rows)
+    for (const Var v : row.vars) solver_->set_decision_var(v, true);
   h.attach_to(*solver_, activations_);
 }
 

@@ -18,7 +18,14 @@
 //     with no CNF copies and no solver reconstruction.
 //   * Enumeration blocking clauses carry a per-cell selector literal; after
 //     a cell is counted, a single unit clause (the selector) permanently
-//     satisfies — i.e. retracts — all of that cell's blocks.
+//     satisfies — i.e. retracts — all of that cell's blocks.  The selector
+//     confines a block to its cell, which is what lets enumerate_models
+//     block a model on its S decisions alone (sat/enumerator.hpp).
+//   * Per-model work scales with the projection, not the formula: every
+//     variable outside the projection that occurs in no clause or XOR
+//     (after simplification, mostly eliminated ones) is a non-decision
+//     variable of the solver, so no model search branches on it.  Its
+//     model value is its saved phase, as when it was decided.
 //   * Learnt clauses survive across BSAT calls, hash levels, ApproxMC
 //     iterations and UniGen samples.  When an epoch ends its rows are
 //     deleted together with the learnts that mention their absorbers; the

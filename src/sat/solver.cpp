@@ -56,6 +56,7 @@ Var Solver::new_var() {
   const bool neg_first =
       options_.random_initial_phase && rng_ ? rng_->flip() : true;
   polarity_.push_back(neg_first ? 1 : 0);
+  decision_.push_back(1);
   is_absorber_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
@@ -63,6 +64,12 @@ Var Solver::new_var() {
   seen_.push_back(0);
   heap_insert(v);
   return v;
+}
+
+void Solver::set_decision_var(Var v, bool decision) {
+  decision_[static_cast<std::size_t>(v)] = decision ? 1 : 0;
+  // A non-decision variable left in the heap is dropped when popped.
+  if (decision && value(v) == lbool::Undef) heap_insert(v);
 }
 
 lbool Solver::fixed_value(Var v) const {
@@ -572,7 +579,9 @@ void Solver::cancel_until(int target_level) {
       polarity_[static_cast<std::size_t>(v)] =
           (assigns_[static_cast<std::size_t>(v)] == lbool::False) ? 1 : 0;
     assigns_[static_cast<std::size_t>(v)] = lbool::Undef;
-    if (heap_pos_[static_cast<std::size_t>(v)] < 0) heap_insert(v);
+    if (heap_pos_[static_cast<std::size_t>(v)] < 0 &&
+        decision_[static_cast<std::size_t>(v)])
+      heap_insert(v);
   }
   trail_.resize(lim);
   trail_lim_.resize(static_cast<std::size_t>(target_level));
@@ -584,7 +593,8 @@ Lit Solver::pick_branch_lit() {
   // the most active unassigned member is cheaper than a second heap.
   Var best = kNoVar;
   for (const Var v : priority_vars_) {
-    if (value(v) != lbool::Undef) continue;
+    if (value(v) != lbool::Undef || !decision_[static_cast<std::size_t>(v)])
+      continue;
     if (best == kNoVar || activity_[static_cast<std::size_t>(v)] >
                               activity_[static_cast<std::size_t>(best)])
       best = v;
@@ -594,7 +604,7 @@ Lit Solver::pick_branch_lit() {
 
   while (!heap_.empty()) {
     const Var v = heap_pop();
-    if (value(v) == lbool::Undef)
+    if (value(v) == lbool::Undef && decision_[static_cast<std::size_t>(v)])
       return Lit(v, polarity_[static_cast<std::size_t>(v)] != 0);
   }
   return kUndefLit;
@@ -787,7 +797,12 @@ lbool Solver::search(const std::vector<Lit>& assumptions,
       if (!next.valid()) {
         next = pick_branch_lit();
         if (!next.valid()) {
-          model_ = assigns_;  // complete satisfying assignment
+          // Every decision variable is assigned; unassigned non-decision
+          // variables take their saved phase.
+          model_ = assigns_;
+          for (std::size_t v = 0; v < model_.size(); ++v)
+            if (model_[v] == lbool::Undef)
+              model_[v] = polarity_[v] ? lbool::False : lbool::True;
           return lbool::True;
         }
         ++stats_.decisions;

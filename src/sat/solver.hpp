@@ -10,6 +10,8 @@
 //   * two-watched-literal propagation with blockers,
 //   * first-UIP conflict analysis with recursive clause minimization,
 //   * EVSIDS decision heuristic (indexed binary heap) + phase saving,
+//     with MiniSat-style non-decision variables (never branched on; a
+//     model reports their saved phase when nothing assigned them),
 //   * Luby restarts, LBD/activity-based learnt-clause database reduction,
 //   * incremental interface: add clauses/XORs between solve calls,
 //     solve under assumptions,
@@ -22,7 +24,9 @@
 //     clause attached at the current level, the solver backjumps to that
 //     clause's asserting level and resumes, instead of restarting from
 //     level 0 per model (Toda & Soh, "Implementing Efficient All Solutions
-//     SAT Solvers", ACM JEA 2016).
+//     SAT Solvers", ACM JEA 2016); the trail accessors level() and
+//     assigned_by_decision() let the enumerator block a model on its
+//     decision literals alone.
 
 #include <atomic>
 #include <cstdint>
@@ -116,6 +120,14 @@ class Solver {
   bool is_live_absorber(Var v) const {
     return is_absorber_[static_cast<std::size_t>(v)] == 1;
   }
+  /// Marks `v` as a decision variable (the default) or not, as MiniSat's
+  /// setDecisionVar.  Search never branches on a non-decision variable;
+  /// one that nothing assigned when a model is found takes its saved
+  /// phase in model() — the value a decision would have given it.  Sound
+  /// only for variables no constraint needs decided, e.g. ones that occur
+  /// in no clause or XOR.  enumerate_models needs its projection variables
+  /// to stay decision variables.
+  void set_decision_var(Var v, bool decision);
   /// Loads an entire formula (variables are created as needed).
   bool load(const Cnf& cnf);
 
@@ -159,6 +171,15 @@ class Solver {
   /// Current decision level: 0 between calls, except right after a True
   /// next_model or a block_model (mid-enumeration).
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
+  /// Level at which `v` was assigned; meaningful only while it is assigned
+  /// (e.g. right after a True next_model).
+  int level(Var v) const { return vardata_[static_cast<std::size_t>(v)].level; }
+  /// True iff `v` is assigned above level 0 with no reason: a branching
+  /// decision or an assumption.
+  bool assigned_by_decision(Var v) const {
+    return value(v) != lbool::Undef && level(v) > 0 &&
+           vardata_[static_cast<std::size_t>(v)].reason.is_none();
+  }
 
   /// Model of the last successful solve() (total assignment).
   const Model& model() const { return model_; }
@@ -269,7 +290,6 @@ class Solver {
   /// Detaches and erases the `target` worst learnt clauses (highest LBD,
   /// then lowest activity) from `removable`.
   void drop_worst_learnts(std::vector<Clause*>& removable, std::size_t target);
-  int level(Var v) const { return vardata_[static_cast<std::size_t>(v)].level; }
   bool locked(const Clause* c) const;
 
   // --- VSIDS ---
@@ -330,6 +350,7 @@ class Solver {
   std::vector<std::int32_t> heap_pos_;  // var -> heap index, -1 if absent
   std::vector<Var> heap_;
   std::vector<char> polarity_;  // saved phase (true = assign negative)
+  std::vector<char> decision_;  // 0 = never branched on (set_decision_var)
   std::vector<char> is_absorber_;  // hash-row activation variables
   std::vector<Var> priority_vars_;
   std::vector<Var> priority_request_;  // last set_priority_vars argument

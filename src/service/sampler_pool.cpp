@@ -46,6 +46,7 @@ SamplerPool::SamplerPool(Cnf cnf, SamplerPoolOptions options)
       options_(options),
       pool_(options.num_threads, Rng(options.seed)) {
   worker_ugstats_.resize(pool_.num_threads());
+  fleet_served_.resize(pool_.num_threads());
 }
 
 SamplerPool::~SamplerPool() = default;
@@ -193,10 +194,11 @@ void SamplerPool::serve_via_fleet(Job& job, const Budget& budget) {
     std::optional<ipc::SampleSlot> slot =
         ipc::unpack_sample(outcomes[k].result);
     if (!slot) continue;  // corrupt status byte: treat as unserved
-    // Fleet slot w's accept-cell counters land on pool worker w (mod the
-    // pool width), so stats() totals match the in-process backend's.
-    UniGenStats& ws =
-        worker_ugstats_[outcomes[k].worker % worker_ugstats_.size()];
+    // Fleet slot w's counters land on pool worker w (mod the pool width),
+    // so stats() totals match the in-process backend's.
+    const std::size_t w = outcomes[k].worker % worker_ugstats_.size();
+    ++fleet_served_[w];
+    UniGenStats& ws = worker_ugstats_[w];
     ws.sample_bsat_calls += slot->sample_bsat_calls;
     ws.bsat_timeout_retries += slot->timeout_retries;
     fill_slot(job, k, BatchResult{slot->status, std::move(slot->models)});
@@ -322,7 +324,8 @@ SamplerPoolStats SamplerPool::stats() const {
     SamplerPoolWorkerStats ws;
     ws.requests_served =
         pool_.tasks_served(w) -
-        (w < prepare_tasks_.size() ? prepare_tasks_[w] : 0);
+        (w < prepare_tasks_.size() ? prepare_tasks_[w] : 0) +
+        fleet_served_[w];
     const SolverStats es = pool_.engine_stats(w);
     ws.solver_rebuilds = es.solver_rebuilds;
     ws.reused_solves = es.reused_solves;

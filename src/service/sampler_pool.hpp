@@ -123,7 +123,8 @@ struct SampleBatchesResult {
 struct SamplerPoolWorkerStats {
   /// Sampling requests this worker served (the counting tasks the warm
   /// handoff also ran on these workers are excluded — prepare's share is
-  /// snapshotted and subtracted).
+  /// snapshotted and subtracted).  On the process fleet, the requests fleet
+  /// slot w served, folded at w mod the pool width.
   std::uint64_t requests_served = 0;
   /// Solver constructions on this worker's engine: stays at 1 for the pool
   /// lifetime (0 for a worker that never received a request — engines are
@@ -278,6 +279,10 @@ class SamplerPool {
   /// Accept-cell aggregates, one slot per worker, each touched only by its
   /// worker thread during a run (read between runs by stats()).
   std::vector<UniGenStats> worker_ugstats_;
+  /// Requests the process fleet served, folded per pool worker like the
+  /// fleet's accept-cell counters (pool_.tasks_served counts in-process
+  /// tasks only).  Dispatcher thread only.
+  std::vector<std::uint64_t> fleet_served_;
   /// The process-fleet backend when options_.unigen.fleet selects it and
   /// start succeeded; null means requests run on pool_ (the default, and
   /// the graceful degradation when no worker could be spawned).

@@ -29,7 +29,16 @@
 //      response's `warm` flag says when an eviction restarted a session's
 //      streams, at which point the reference pool is rebuilt too), and a
 //      cancelled request reports honest statuses while leaving the session
-//      byte-exactly reusable.
+//      byte-exactly reusable;
+//   8. the incremental BSAT engine's cells: the case plus a few variables
+//      that occur nowhere, a random projection P that need not be an
+//      independent support, and k random rows over P pushed on one
+//      IncrementalBsat; the cell at every hash level m in 0..k must equal
+//      the brute-forced P-projections of F ∧ the first m rows, and every
+//      reported model must satisfy them.  A projection that does not
+//      determine the formula lets non-P decisions come before P is
+//      complete, which exercises the full-clause fallback of
+//      decision-literal blocking (sat/enumerator.hpp).
 //
 // Exit code 0 when every seed passes; on the first failure it prints a
 // one-line repro (`fuzz_cnf <seed>` / `fuzz_cnf.py --repro <seed>`) plus
@@ -38,6 +47,7 @@
 // Usage: fuzz_cnf <seed> [<seed> ...]
 //        fuzz_cnf --range <first> <count>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -52,7 +62,9 @@
 #include "counting/approxmc.hpp"
 #include "counting/exact_counter.hpp"
 #include "fault_inject.hpp"
+#include "hashing/xor_hash.hpp"
 #include "helpers.hpp"
+#include "sat/incremental_bsat.hpp"
 #include "service/budget.hpp"
 #include "service/sampling_server.hpp"
 
@@ -325,6 +337,53 @@ std::optional<Failure> run_seed(std::uint64_t seed) {
                "server leg: ledger broken (%" PRIu64 "+%" PRIu64
                " != %" PRIu64 ", %zu live)",
                st.hits, st.misses, st.requests, st.sessions);
+  }
+
+  // 8. Incremental cells over a random projection, at every hash level.
+  {
+    Rng rng(seed ^ 0xCE11ull);
+    Cnf padded = cnf;  // plus 1..3 variables that occur nowhere
+    padded.ensure_vars(cnf.num_vars() + 1 + static_cast<Var>(rng.below(3)));
+    std::vector<Var> proj;
+    while (proj.empty()) {
+      for (Var v = 0; v < padded.num_vars(); ++v)
+        if (rng.flip()) proj.push_back(v);
+    }
+    const std::size_t k = 1 + static_cast<std::size_t>(rng.below(4));
+    const XorHash h = draw_xor_hash(proj, k, rng);
+    IncrementalBsat engine(padded, proj);
+    engine.push_rows(h);
+    const auto key_of = [&proj](const Model& model) {
+      Model key;
+      for (const Var v : proj)
+        key.push_back(model[static_cast<std::size_t>(v)]);
+      return key;
+    };
+    Cnf hashed = padded;
+    for (std::size_t m = 0; m <= k; ++m) {
+      if (m > 0) hashed.add_xor(h.rows[m - 1]);
+      std::vector<Model> want;
+      for (const Model& model : test::brute_force_models(hashed))
+        want.push_back(key_of(model));
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+
+      const auto r =
+          engine.enumerate_cell(m, UINT64_MAX, Deadline::never(), true);
+      FUZZ_CHECK(r.exhausted, "cell leg: m=%zu/%zu not exhausted", m, k);
+      std::vector<Model> got;
+      for (const Model& full : r.models) {
+        const Model model = project_model_to_formula(full, padded.num_vars());
+        FUZZ_CHECK(hashed.satisfied_by(model),
+                   "cell leg: m=%zu/%zu reported a non-model", m, k);
+        got.push_back(key_of(model));
+      }
+      std::sort(got.begin(), got.end());
+      FUZZ_CHECK(got == want,
+                 "cell leg: m=%zu/%zu, |P|=%zu: %zu projections, brute "
+                 "force %zu",
+                 m, k, proj.size(), got.size(), want.size());
+    }
   }
 
   return std::nullopt;

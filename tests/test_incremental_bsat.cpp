@@ -13,6 +13,8 @@
 #include "hashing/xor_hash.hpp"
 #include "helpers.hpp"
 #include "sat/incremental_bsat.hpp"
+#include "simplify/simplify.hpp"
+#include "workloads/sketch.hpp"
 
 namespace unigen {
 namespace {
@@ -219,6 +221,66 @@ TEST(IncrementalBsatProperty, LimitExitsLeaveLevelZeroAndExactNextCount) {
   // The conflict cap must have cut at least one cell after some models,
   // i.e. from a mid-enumeration trail.
   EXPECT_GT(cut_mid_cell, 0);
+}
+
+TEST(IncrementalBsatProperty, HashedSketchCellWorkScalesWithTheSamplingSet) {
+  // A simplified sketch keeps hundreds of variables that occur in no clause
+  // (eliminated ones) next to a few dozen sampling variables.  A whole
+  // hashed cell must neither branch on the unconstrained variables nor
+  // block each model on all of S: it makes fewer decisions than the
+  // formula has variables, and its blocks average fewer than |S| + 1
+  // literals (the full S block plus the cell's selector).
+  workloads::SketchOptions o;
+  o.spec_input_bits = 5;
+  o.selector_bits = 9;
+  o.mode_bits = 12;
+  o.threshold = 3000;
+  o.seed = 11;
+  const auto bench = workloads::make_sketch_bench(o, "cell_work");
+  const Simplifier simplified(bench.cnf);
+  const Cnf& cnf = simplified.result();
+  const std::vector<Var> s = cnf.sampling_set_or_all();
+  // About 32 witnesses per cell.
+  const auto m = static_cast<std::size_t>(bench.witness_count.log2()) - 5;
+  Rng rng(42);
+  IncrementalBsat engine(cnf, s);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    engine.begin_hash();
+    engine.push_rows(draw_xor_hash(s, m, rng));
+    const std::uint64_t before = engine.stats().decisions;
+    const auto r = engine.enumerate_cell(m, 100000, Deadline::never(), false);
+    ASSERT_TRUE(r.exhausted);
+    ASSERT_GT(r.count, 1u) << "epoch " << epoch;
+    EXPECT_LT(engine.stats().decisions - before,
+              static_cast<std::uint64_t>(cnf.num_vars()))
+        << "epoch " << epoch << ", " << r.count << " models";
+    ASSERT_EQ(r.blocks_added, r.count);
+    EXPECT_LT(r.block_literals, r.blocks_added * (s.size() + 1))
+        << "epoch " << epoch;
+  }
+}
+
+TEST(IncrementalBsatProperty, UnconstrainedVariableKeepsItsModelValue) {
+  // Variable 5 is outside the projection and occurs in no clause, so the
+  // engine never branches on it; every model must still report the value
+  // branching gave it: its saved phase, negative for a fresh variable.
+  Cnf cnf(6);
+  cnf.add_clause({Lit(0, false), Lit(1, false)});
+  cnf.add_clause({Lit(1, true), Lit(2, false), Lit(3, true)});
+  cnf.add_clause({Lit(3, false), Lit(4, false)});
+  const std::vector<Var> proj{0, 1, 2, 3, 4};
+  Solver plain;
+  plain.load(cnf);
+  EnumerateOptions opts;
+  opts.projection = proj;
+  const auto reference = enumerate_models(plain, opts);
+  IncrementalBsat engine(cnf, proj);
+  const auto r = engine.enumerate_cell(0, 100000, Deadline::never(), true);
+  ASSERT_TRUE(r.exhausted);
+  ASSERT_EQ(r.count, reference.count);
+  ASSERT_GT(r.count, 1u);
+  for (const Model& m : reference.models) EXPECT_EQ(m[5], lbool::False);
+  for (const Model& m : r.models) EXPECT_EQ(m[5], lbool::False);
 }
 
 TEST(ApproxMc, OnePersistentSolverPerRun) {

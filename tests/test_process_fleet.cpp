@@ -143,6 +143,12 @@ std::uint64_t summed_sample_bsat_calls(const SamplerPoolStats& st) {
   return sum;
 }
 
+std::uint64_t summed_requests_served(const SamplerPoolStats& st) {
+  std::uint64_t sum = 0;
+  for (const SamplerPoolWorkerStats& w : st.workers) sum += w.requests_served;
+  return sum;
+}
+
 TEST(ProcessFleet, SampleCountersMatchInProcessPool) {
   // The workers' accept-cell counters travel back in every Result and fold
   // into stats(): same seed, same requests, same totals on both backends.
@@ -159,6 +165,10 @@ TEST(ProcessFleet, SampleCountersMatchInProcessPool) {
   const std::uint64_t expected = summed_sample_bsat_calls(inproc.stats());
   EXPECT_GT(expected, 0u);
   EXPECT_EQ(summed_sample_bsat_calls(fleet.stats()), expected);
+  // Every request is served exactly once on both backends: 12 singles plus
+  // 4 batch requests.
+  EXPECT_EQ(summed_requests_served(inproc.stats()), 16u);
+  EXPECT_EQ(summed_requests_served(fleet.stats()), 16u);
 }
 
 TEST(ProcessFleet, SampleStreamsMatchInProcessPool) {
